@@ -15,6 +15,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.common.entry import Entry
 from repro.errors import SnapshotError
 from repro.storage.run import Run
+from repro.storage.sstable import ProbeStats
 
 
 class Version:
@@ -71,7 +72,9 @@ class Version:
                 return entry
         return None
 
-    def get_chain(self, key: bytes, cache=None) -> "tuple[Optional[Entry], List[Entry]]":
+    def get_chain(
+        self, key: bytes, cache=None, stats: Optional[ProbeStats] = None
+    ) -> "tuple[Optional[Entry], List[Entry]]":
         """Collect ``key``'s merge chain as of this snapshot.
 
         Walks versions newest-first (buffered memory versions, then runs),
@@ -83,6 +86,9 @@ class Version:
             None when the chain bottoms out on nothing) and the operand
             entries newest-first. ``operands`` is empty for ordinary keys,
             making this a strict generalization of :meth:`get`.
+
+        ``stats``, when given, accumulates the runs' filter, index and
+        block probes, as :meth:`LSMTree.get` records them.
         """
         self.ensure_open()
         operands: List[Entry] = []
@@ -97,7 +103,7 @@ class Version:
                 continue
             return entry, operands
         for run in self.runs:
-            entry = run.get(key, cache=cache)
+            entry = run.get(key, stats=stats, cache=cache)
             if entry is None:
                 continue
             if entry.is_merge:

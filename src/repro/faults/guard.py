@@ -108,6 +108,10 @@ class ReadGuard:
     ) -> Tuple[bytes, object]:
         """Read one block and parse it, retrying/quarantining per policy.
 
+        ``parse`` is the reader's own decoder — for a table's data blocks,
+        the same checksum-verifying decoder the unguarded path uses — and
+        any :class:`CorruptionError` it raises counts as a corrupt read.
+
         Returns:
             ``(payload, parsed)`` on success.
 

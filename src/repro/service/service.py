@@ -29,6 +29,7 @@ from repro.service.backpressure import BackpressureController
 from repro.service.batcher import WriteBatcher, WriteOp
 from repro.service.config import ServiceConfig
 from repro.service.scheduler import CompactionScheduler, RateLimiter
+from repro.storage.sstable import ProbeStats
 
 
 class DBService:
@@ -322,11 +323,14 @@ class DBService:
             # Memory did not terminate the chain: continue on the pinned
             # runs. Memory operands are strictly newer than anything on
             # storage, so extending keeps newest-first order.
+            probe = ProbeStats()
             try:
-                entry, run_operands = version.get_chain(key, cache=tree.cache)
+                entry, run_operands = version.get_chain(key, cache=tree.cache, stats=probe)
                 operands.extend(run_operands)
             finally:
                 version.close()
+            with tree._stats_lock:
+                tree.stats.probe.merge(probe)
             if span is not None:
                 walked = time.perf_counter()
                 span.add_stage("storage_probe", walked - probed)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Union
 
@@ -81,18 +82,63 @@ class ProbeStats:
 _ENTRY_RESIDENT_OVERHEAD = 72
 
 
+def _decoded_charge(entries: Sequence[Entry]) -> int:
+    """Resident size of a decoded block: key and value bytes plus per-entry overhead."""
+    charge = 56  # the DataBlock itself + entries list header
+    for entry in entries:
+        charge += len(entry.key) + len(entry.value) + _ENTRY_RESIDENT_OVERHEAD
+    return charge
+
+
+def _offset_typecode(block_size: int) -> str:
+    """Array typecode wide enough for every entry offset in a block body."""
+    return "H" if block_size <= 0xFFFF else "I"
+
+
 class DataBlock:
-    """A parsed data block: sorted entries plus an optional hash index."""
+    """A parsed data block: sorted entries plus an optional hash index.
 
-    __slots__ = ("entries", "hash_index", "_keys", "_charge")
+    A block built by :meth:`lazy` holds a checksum-verified body and its
+    entry offsets instead of entries: :meth:`find` bisects the offsets and
+    decodes only the matching entry, and the first access to
+    :attr:`entries` decodes the whole body and drops it.
+    """
 
-    def __init__(self, entries: List[Entry], build_hash_index: bool = False) -> None:
-        self.entries = entries
+    __slots__ = ("_entries", "_lazy", "hash_index", "_keys", "_charge")
+
+    def __init__(self, entries: Optional[List[Entry]], build_hash_index: bool = False) -> None:
+        self._entries = entries
+        self._lazy: "Optional[tuple[bytes, Sequence[int]]]" = None
         self.hash_index = (
             {entry.key: i for i, entry in enumerate(entries)} if build_hash_index else None
         )
         self._keys: Optional[List[bytes]] = None  # built on first binary search
         self._charge: Optional[int] = None  # decoded resident size, computed once
+
+    @classmethod
+    def lazy(cls, body: bytes, offsets: Sequence[int], charge: int) -> "DataBlock":
+        """Wrap a verified block body searched through its entry offsets.
+
+        ``offsets`` holds each entry's start in ``body``; ``charge`` is the
+        decoded block's :attr:`charge_bytes`, so caching the body costs the
+        cache no more headroom than caching its entries would.
+        """
+        block = cls(None)
+        block._lazy = (body, offsets)
+        block._charge = charge
+        return block
+
+    @property
+    def entries(self) -> List[Entry]:
+        """The block's entries, decoded from a lazy block's body on first use."""
+        entries = self._entries
+        if entries is None:
+            lazy = self._lazy
+            if lazy is None:  # another thread decoded between the two reads
+                return self._entries
+            entries = self._entries = _decode_entries(lazy[0], None)
+            self._lazy = None
+        return entries
 
     def keys_list(self) -> List[bytes]:
         """The block's sorted key list, decoded once and cached.
@@ -106,14 +152,18 @@ class DataBlock:
         return keys
 
     def find(self, key: bytes) -> Optional[Entry]:
-        """Locate ``key`` via the hash index when present, else binary search."""
+        """Locate ``key`` via the offsets, the hash index, or binary search."""
+        lazy = self._lazy
+        if lazy is not None:
+            return _find_at_offsets(lazy[0], lazy[1], key)
         if self.hash_index is not None:
             idx = self.hash_index.get(key)
             return self.entries[idx] if idx is not None else None
         keys = self.keys_list()
         idx = bisect.bisect_left(keys, key)
-        if idx < len(self.entries) and self.entries[idx].key == key:
-            return self.entries[idx]
+        entries = self.entries
+        if idx < len(entries) and entries[idx].key == key:
+            return entries[idx]
         return None
 
     @property
@@ -123,14 +173,12 @@ class DataBlock:
         This is what the block costs while cached — key and value bytes plus
         per-entry object overhead — **not** its on-device size. Compressed
         files would otherwise let the uncompressed cache tier hold several
-        times its configured budget in decoded memory.
+        times its configured budget in decoded memory. A lazy block is
+        charged the same, which bounds its body from above.
         """
         charge = self._charge
         if charge is None:
-            charge = 56  # the DataBlock itself + entries list header
-            for entry in self.entries:
-                charge += len(entry.key) + len(entry.value) + _ENTRY_RESIDENT_OVERHEAD
-            self._charge = charge
+            charge = self._charge = _decoded_charge(self.entries)
         return charge
 
     @property
@@ -142,19 +190,53 @@ class DataBlock:
         return self.entries[-1].key
 
 
-def _encode_body(entries: Sequence[Entry]) -> bytearray:
+def _find_at_offsets(body: bytes, offsets: Sequence[int], key: bytes) -> Optional[Entry]:
+    """Bisect a verified body's entry offsets for ``key``; decode only the match.
+
+    The checksum was verified before any offset is trusted, so a malformed
+    field here means the offsets disagree with the body: reported as
+    corruption, never as an ``IndexError``.
+    """
+    try:
+        lo, hi = 0, len(offsets)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            length, pos = decode_varint(body, offsets[mid])
+            end = pos + length
+            probe = body[pos:end]
+            if probe < key:
+                lo = mid + 1
+            elif probe > key:
+                hi = mid
+            else:
+                seqno, pos = decode_varint(body, end)
+                kind_byte = body[pos]
+                if kind_byte > 3:  # PUT, DELETE, MERGE, PUT_TTL
+                    raise CorruptionError(f"invalid entry kind {kind_byte}")
+                value, _ = get_length_prefixed(body, pos + 1)
+                return Entry(key=probe, seqno=seqno, kind=_ENTRY_KINDS[kind_byte], value=value)
+        return None
+    except (IndexError, ValueError) as exc:
+        raise CorruptionError(f"entry offsets disagree with block body: {exc}") from exc
+
+
+def _encode_body(entries: Sequence[Entry], offsets=None) -> bytearray:
     """Pack entries into the (uncompressed) block body.
 
     One flat loop with bound locals: `bytearray.__iadd__` and the interned
     single-byte varints keep per-entry allocation to the unavoidable minimum
     (this runs once per block per flush/compaction, inside the write path).
+    When ``offsets`` (an array or list) is given, each entry's start in the
+    body is appended to it — the positions a point lookup bisects.
     """
     body = bytearray(encode_varint(len(entries)))
     varint = encode_varint
     append = body.append
+    mark = (offsets if offsets is not None else []).append
     for entry in entries:
         key = entry.key
         value = entry.value
+        mark(len(body))
         body += varint(len(key))
         body += key
         body += varint(entry.seqno)
@@ -165,7 +247,7 @@ def _encode_body(entries: Sequence[Entry]) -> bytearray:
 
 
 def encode_block(
-    entries: Sequence[Entry], codec: Optional[Codec] = None
+    entries: Sequence[Entry], codec: Optional[Codec] = None, offsets=None
 ) -> "tuple[bytes, int, int]":
     """Serialize entries into an on-device payload, optionally compressed.
 
@@ -174,14 +256,15 @@ def encode_block(
     is compressed and framed (see ``_FRAME_MAGIC``); blocks the codec cannot
     shrink below their legacy size are stored in the legacy layout instead —
     a per-block decision :func:`parse_block` resolves transparently — so a
-    compressed table is never larger than an uncompressed one.
+    compressed table is never larger than an uncompressed one. ``offsets``
+    receives each entry's start in the uncompressed body.
 
     Returns:
         ``(payload, uncompressed_size, stored_size)`` where the sizes are the
         legacy payload size and ``len(payload)`` — the compression-ratio
         counters' inputs.
     """
-    body = _encode_body(entries)
+    body = _encode_body(entries, offsets)
     uncompressed_size = 4 + len(body)
     if codec is not None and codec.codec_id != 0:
         compressed = codec.compress(bytes(body))
@@ -237,8 +320,11 @@ def _decode_entries(body, stored_crc: Optional[int]) -> List[Entry]:
 _ENTRY_KINDS = tuple(EntryKind(i) for i in range(4))
 
 
-def _parse_framed(view: memoryview) -> List[Entry]:
-    """Decode a compressed frame; raises only CorruptionError on any damage."""
+def _framed_body(view: memoryview) -> bytes:
+    """Verify a compressed frame and return its decompressed body.
+
+    Raises only CorruptionError on any damage.
+    """
     n = len(view)
     stored_crc = int.from_bytes(view[n - 4 :], "big")
     if zlib.crc32(view[: n - 4]) != stored_crc:
@@ -246,17 +332,39 @@ def _parse_framed(view: memoryview) -> List[Entry]:
     codec = codec_by_id(view[1])
     try:
         uncompressed_size, pos = decode_varint(view, 2)
-        if pos > n - 4:
-            raise ValueError("frame header overruns payload")
-        body = codec.decompress(view[pos : n - 4], uncompressed_size)
-        return _decode_entries(memoryview(body), None)
-    except CorruptionError:
-        raise
     except ValueError as exc:
-        # The checksum passed but the content is unusable: either a one-in-
-        # 2^32 legacy-block collision (the caller falls back) or mis-framed
-        # data. Both are corruption from this layer's point of view.
         raise CorruptionError(f"invalid compressed frame: {exc}") from exc
+    if pos > n - 4:
+        raise CorruptionError("invalid compressed frame: header overruns payload")
+    return codec.decompress(view[pos : n - 4], uncompressed_size)
+
+
+def _block_body(payload) -> bytes:
+    """Checksum-verify a whole data-block payload; return its uncompressed body.
+
+    Accepts the legacy ``crc32 | body`` layout and compressed frames. A
+    payload that looks framed but fails as a frame is tried as a legacy
+    block whose leading checksum happens to mimic a frame header (one in
+    2^32); if that fails too, the frame's error is raised.
+
+    Raises:
+        CorruptionError: on any damage, truncation included — the checksum
+            is checked before the body is used.
+    """
+    n = len(payload)
+    if n < 4:
+        raise CorruptionError(f"block of {n} bytes is too short")
+    view = payload if isinstance(payload, memoryview) else memoryview(payload)
+    framed_err: Optional[CorruptionError] = None
+    if is_compressed_frame(view):
+        try:
+            return _framed_body(view)
+        except CorruptionError as exc:
+            framed_err = exc
+    body = view[4:]
+    if zlib.crc32(body) != int.from_bytes(view[:4], "big"):
+        raise framed_err or CorruptionError("block checksum mismatch")
+    return bytes(body)
 
 
 def parse_block(payload, detect_frames: bool = True) -> List[Entry]:
@@ -290,27 +398,15 @@ def parse_block(payload, detect_frames: bool = True) -> List[Entry]:
         raise CorruptionError(f"block of {n} bytes is too short")
     view = payload if isinstance(payload, memoryview) else memoryview(payload)
     if detect_frames and is_compressed_frame(view):
+        # Frame-detecting consumers hand in whole payloads, so the checksum
+        # is verified before anything is decoded.
         try:
-            return _parse_framed(view)
-        except CorruptionError as framed_err:
-            # Frame-detecting consumers hand in whole payloads, so a valid
-            # legacy block parses fully here; any failure — including
-            # truncation — means the payload is a damaged frame.
-            try:
-                return _decode_entries(view[4:], int.from_bytes(view[:4], "big"))
-            except (CorruptionError, ValueError, IndexError, OverflowError):
-                raise framed_err from None
+            return _decode_entries(_block_body(view), None)
+        except (ValueError, IndexError) as exc:
+            # The checksum passed but the content is unusable (a checksum
+            # collision or mis-framed data): corruption at this layer.
+            raise CorruptionError(f"invalid block body: {exc}") from exc
     return _decode_entries(view[4:], int.from_bytes(view[:4], "big"))
-
-
-def _decode_payload(payload, hash_index: bool) -> "tuple[DataBlock, int]":
-    """Decode a raw payload into a block plus its cache charge.
-
-    The two-tier cache's decode callback: runs on compressed-tier hits (no
-    device involved) and on device misses alike.
-    """
-    block = DataBlock(parse_block(payload), hash_index)
-    return block, block.charge_bytes
 
 
 def _entry_encoded_size(entry: Entry) -> int:
@@ -331,6 +427,8 @@ class SSTable:
         num_data_blocks: int,
         block_first_keys: List[bytes],
         block_last_keys: List[bytes],
+        block_offsets: "List[array]",
+        block_charges: "array",
         entry_count: int,
         tombstone_count: int,
         search_index,
@@ -351,6 +449,15 @@ class SSTable:
         self.num_data_blocks = num_data_blocks
         self._block_first_keys = block_first_keys
         self._block_last_keys = block_last_keys
+        # Per data block: each entry's start in the uncompressed body (a
+        # point lookup bisects these) and the decoded block's cache charge.
+        # Both are functions of the block's bytes, so they live in memory
+        # only and are recomputed by rebuild_sstable.
+        self._block_offsets = block_offsets
+        self._block_charges = block_charges
+        self._offsets_bytes = block_charges.itemsize * len(block_charges) + sum(
+            offsets.itemsize * len(offsets) for offsets in block_offsets
+        )
         self.entry_count = entry_count
         self.tombstone_count = tombstone_count
         self.search_index = search_index
@@ -390,7 +497,7 @@ class SSTable:
     @property
     def memory_bytes(self) -> int:
         """In-memory footprint of the auxiliary structures."""
-        total = sum(len(key) for key in self._block_first_keys)
+        total = sum(len(key) for key in self._block_first_keys) + self._offsets_bytes
         if self.search_index is not None:
             total += self.search_index.size_bytes
         if self.point_filter is not None:
@@ -640,18 +747,14 @@ class SSTable:
         if stats is not None:
             stats.blocks_read += 1
         guard = self._device.guard
-        hash_index = self._hash_index
+
+        def decode(payload) -> "tuple[DataBlock, int]":
+            return self._decode_block(block_no, payload)
 
         def loader() -> "tuple[DataBlock, int]":
             if guard is not None:
-                payload, entries = guard.read_parsed(
-                    self._device, self.file_id, block_no, parse_block
-                )
-            else:
-                payload = self._device.read_block(self.file_id, block_no)
-                entries = parse_block(payload)
-            block = DataBlock(entries, hash_index)
-            return block, block.charge_bytes
+                return guard.read_parsed(self._device, self.file_id, block_no, decode)[1]
+            return decode(self._device.read_block(self.file_id, block_no))
 
         if cache is not None:
             key = (self.file_id, block_no)
@@ -663,12 +766,24 @@ class SSTable:
                 # both tiers. With a guard installed the per-block guarded
                 # loader below keeps retry/quarantine semantics.
                 return cache.get_or_load_block(
-                    key,
-                    lambda: self._device.read_block(self.file_id, block_no),
-                    lambda payload: _decode_payload(payload, hash_index),
+                    key, lambda: self._device.read_block(self.file_id, block_no), decode
                 )
             return cache.get_or_load(key, loader)
         return loader()[0]
+
+    def _decode_block(self, block_no: int, payload) -> "tuple[DataBlock, int]":
+        """Turn a data block's payload into a block plus its cache charge.
+
+        The checksum is verified before any offset is trusted; the returned
+        block bisects its offsets for point lookups and decodes its entries
+        only when iterated. Tables with a per-block hash index decode every
+        entry up front, since the hash map needs every key.
+        """
+        body = _block_body(payload)
+        charge = self._block_charges[block_no]
+        if self._hash_index:
+            return DataBlock(_decode_entries(body, None), True), charge
+        return DataBlock.lazy(body, self._block_offsets[block_no], charge), charge
 
 
 # Factories let the engine plug in any index/filter without import cycles:
@@ -698,6 +813,9 @@ def rebuild_sstable(
     """
     first_keys: List[bytes] = []
     last_keys: List[bytes] = []
+    block_offsets: "List[array]" = []
+    block_charges = array("I")
+    typecode = _offset_typecode(device.block_size)
     keys: List[bytes] = []
     block_of_key: List[int] = []
     entry_count = 0
@@ -723,6 +841,10 @@ def rebuild_sstable(
         data_blocks += 1
         first_keys.append(entries[0].key)
         last_keys.append(entries[-1].key)
+        offsets = array(typecode)
+        _encode_body(entries, offsets)  # the encoder is deterministic: same positions
+        block_offsets.append(offsets)
+        block_charges.append(_decoded_charge(entries))
         for entry in entries:
             keys.append(entry.key)
             block_of_key.append(block_no)
@@ -737,6 +859,8 @@ def rebuild_sstable(
         num_data_blocks=data_blocks,
         block_first_keys=first_keys,
         block_last_keys=last_keys,
+        block_offsets=block_offsets,
+        block_charges=block_charges,
         entry_count=entry_count,
         tombstone_count=tombstones,
         search_index=index_factory(keys, block_of_key) if index_factory else None,
@@ -807,6 +931,9 @@ class SSTableBuilder:
         self._block_of_key: List[int] = []
         self._block_first_keys: List[bytes] = []
         self._block_last_keys: List[bytes] = []
+        self._offset_typecode = _offset_typecode(self._block_size)
+        self._block_offsets: "List[array]" = []
+        self._block_charges = array("I")
         self._entry_count = 0
         self._tombstones = 0
         self._last_key: Optional[bytes] = None
@@ -882,6 +1009,8 @@ class SSTableBuilder:
             num_data_blocks=len(self._block_first_keys),
             block_first_keys=self._block_first_keys,
             block_last_keys=self._block_last_keys,
+            block_offsets=self._block_offsets,
+            block_charges=self._block_charges,
             entry_count=self._entry_count,
             tombstone_count=self._tombstones,
             search_index=search_index,
@@ -902,7 +1031,10 @@ class SSTableBuilder:
     # -- internals -----------------------------------------------------------
 
     def _flush_block(self) -> None:
-        payload, uncompressed, stored = encode_block(self._pending, self._codec)
+        offsets = array(self._offset_typecode)
+        payload, uncompressed, stored = encode_block(self._pending, self._codec, offsets)
+        self._block_offsets.append(offsets)
+        self._block_charges.append(_decoded_charge(self._pending))
         self._uncompressed_bytes += uncompressed
         self._stored_bytes += stored
         if self._write_buffer_blocks > 1:

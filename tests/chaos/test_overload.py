@@ -81,25 +81,54 @@ class TestServerSheds:
         outcomes = []
         lock = threading.Lock()
         barrier = threading.Barrier(8)
+        parked = threading.Event()
+        release = threading.Event()
+        service_put = tight_server.service.put
+
+        def parking_put(key, value, *args, **kwargs):
+            # Hold one request inside the engine so every hammering request
+            # arrives while another is in flight, whatever the commit latency.
+            if key.endswith(b"parked"):
+                parked.set()
+                release.wait(timeout=30)
+            return service_put(key, value, *args, **kwargs)
+
+        tight_server.service.put = parking_put
+
+        def record(put):
+            try:
+                put()
+                with lock:
+                    outcomes.append("ok")
+            except RemoteError as exc:
+                assert exc.code == "overloaded"
+                with lock:
+                    outcomes.append("shed")
+
+        def occupant():
+            with LSMClient(host, port, tenant="t") as db:
+                record(lambda: db.put(b"parked", b"v"))
 
         def hammer(i):
             with LSMClient(host, port, tenant="t") as db:
                 barrier.wait()
                 for n in range(40):
-                    try:
-                        db.put(b"k%d-%d" % (i, n), b"v")
-                        with lock:
-                            outcomes.append("ok")
-                    except RemoteError as exc:
-                        assert exc.code == "overloaded"
-                        with lock:
-                            outcomes.append("shed")
+                    record(lambda: db.put(b"k%d-%d" % (i, n), b"v"))
 
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        holder = threading.Thread(target=occupant)
+        holder.start()
+        try:
+            assert parked.wait(timeout=30), "the occupant's put never reached the engine"
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            release.set()
+        holder.join(timeout=30)
+        assert not holder.is_alive()
         assert "shed" in outcomes, "8 writers against depth-2 never shed"
         assert "ok" in outcomes, "shedding must not refuse everything"
         snap = tight_server.stats_snapshot()

@@ -4,9 +4,11 @@ import pytest
 
 from repro import encode_uint_key
 from repro.common.entry import Entry
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, QuarantinedFileError
+from repro.faults import ReadGuard
 from repro.storage.block_device import BlockDevice
-from repro.storage.sstable import parse_block, serialize_block
+from repro.storage.compression import is_compressed_frame
+from repro.storage.sstable import SSTableBuilder, parse_block, serialize_block
 from tests.conftest import make_tree
 
 
@@ -114,3 +116,77 @@ class TestEngineCorruptionDetection:
         tree.device.corrupt_block(wal_file, 0, byte_offset=20)
         with pytest.raises((CorruptionError, ValueError)):
             LSMTree.recover(config, tree.device)
+
+
+class TamperedDevice(BlockDevice):
+    """Serves the ``target`` block through ``tamper`` on every read."""
+
+    target = None
+    tamper = None
+
+    def read_block(self, file_id, block_no):
+        payload = super().read_block(file_id, block_no)
+        if (file_id, block_no) == self.target:
+            return self.tamper(payload)
+        return payload
+
+
+def damaged_copies(payload):
+    """Every truncation and every single-bit flip of ``payload``."""
+    for cut in range(len(payload)):
+        yield payload[:cut]
+    for pos in range(len(payload)):
+        for bit in range(8):
+            flipped = bytearray(payload)
+            flipped[pos] ^= 1 << bit
+            yield bytes(flipped)
+
+
+class TestPointPathCorruption:
+    """SSTable.get on a damaged data block: typed errors, never garbage."""
+
+    def damaged_table(self, codec, hash_index=False):
+        device = TamperedDevice(block_size=512)
+        builder = SSTableBuilder(device, codec=codec, hash_index=hash_index)
+        entries = [
+            Entry(key=b"key-%05d" % i, seqno=i + 1, value=bytes([97 + i % 3]) * 80)
+            for i in range(60)
+        ]
+        builder.add_all(entries)
+        table = builder.finish()
+        block_no = 1
+        payload = device.read_block(table.file_id, block_no)
+        assert is_compressed_frame(payload) == (codec != "none")
+        lo, hi = table.fence_keys[block_no], table.fence_keys[block_no + 1]
+        in_block = [e.key for e in entries if lo <= e.key < hi]
+        # Present keys at both ends of the block, and an absent one inside it.
+        probes = [in_block[0], in_block[-1], in_block[0] + b"\x00"]
+        device.target = (table.file_id, block_no)
+        return device, table, payload, probes
+
+    @pytest.mark.parametrize("hash_index", [False, True])
+    @pytest.mark.parametrize("codec", ["none", "rle", "zlib"])
+    def test_every_truncation_and_bit_flip_raises_corruption(self, codec, hash_index):
+        device, table, payload, probes = self.damaged_table(codec, hash_index)
+        for damaged in damaged_copies(payload):
+            device.tamper = lambda _payload, damaged=damaged: damaged
+            for key in probes:
+                with pytest.raises(CorruptionError):
+                    table.get(key)
+
+    @pytest.mark.parametrize("codec", ["none", "rle", "zlib"])
+    def test_guarded_lookups_retry_then_quarantine(self, codec):
+        device, table, payload, probes = self.damaged_table(codec)
+        for damaged in damaged_copies(payload):
+            device.guard = guard = ReadGuard(quarantine_after=2)
+            device.tamper = lambda _payload, damaged=damaged: damaged
+            with pytest.raises(CorruptionError):
+                table.get(probes[0])
+            assert guard.corruptions_detected == 2
+            assert guard.retry_attempts == 1
+            assert guard.is_quarantined(table.file_id)
+            with pytest.raises(QuarantinedFileError):
+                table.get(probes[1])
+        device.guard = ReadGuard()
+        device.tamper = lambda payload: payload
+        assert table.get(probes[0]).key == probes[0]
