@@ -14,7 +14,7 @@ Two claims about the production-shaped front end (``repro.service``):
 
 from conftest import once, record
 
-from repro import DBService, LSMConfig, ServiceConfig, encode_uint_key
+from repro import DBService, LSMConfig, LSMTree, ServiceConfig, encode_uint_key
 from repro.bench.harness import run_concurrent_workload
 from repro.service import CompactionScheduler, RateLimiter
 
@@ -57,7 +57,7 @@ def _inline_commit_row():
 def _service_commit_row():
     """Eight writers through the batcher: one frame per write group."""
     service = DBService(
-        _base_config(),
+        LSMTree(_base_config()),
         ServiceConfig(max_batch=32, max_batch_wait_s=0.002),
     )
     metrics = run_concurrent_workload(
@@ -124,7 +124,7 @@ def _service_burst_row():
     limiter = RateLimiter(bytes_per_second=512 << 10, burst_bytes=64 << 10)
     scheduler = CompactionScheduler(num_workers=1, rate_limiter=limiter)
     service = DBService(
-        _base_config(),
+        LSMTree(_base_config()),
         ServiceConfig(
             max_batch=32,
             max_batch_wait_s=0.001,
@@ -175,7 +175,7 @@ def test_e19_concurrent_reads_during_burst(benchmark):
 
     def run():
         service = DBService(
-            _base_config(),
+            LSMTree(_base_config()),
             ServiceConfig(max_batch=16, max_batch_wait_s=0.001),
         )
         metrics = run_concurrent_workload(

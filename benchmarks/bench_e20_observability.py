@@ -48,7 +48,7 @@ def _base_config(**overrides):
 def _observed_service_rows():
     registry = MetricsRegistry()
     service = DBService(
-        _base_config(wal_enabled=True, wal_sync_interval=1),
+        LSMTree(_base_config(wal_enabled=True, wal_sync_interval=1)),
         ServiceConfig(max_batch=32, max_batch_wait_s=0.001),
     )
     metrics = run_concurrent_workload(

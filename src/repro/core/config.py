@@ -33,8 +33,8 @@ _COMPRESSION_KINDS = frozenset(available_codecs())
 class LSMConfig:
     """Every design decision of the engine, with production-like defaults.
 
-    Keyword-only: positional construction still works for one release behind
-    a DeprecationWarning (field order is not a stable interface).
+    Keyword-only: positional arguments raise TypeError (field order is not
+    a stable interface).
 
     Attributes:
         name: the tree's identity on its device; manifests carry it, so
@@ -156,8 +156,6 @@ class LSMConfig:
     compaction_filter: Optional[Callable[[bytes, bytes], bool]] = None
     parallel: Optional[ParallelConfig] = None
     seed: int = 42
-    # Declared last so legacy positional construction (deprecated) keeps its
-    # original field order.
     merge_operators: Sequence = ()
     name: str = "db"
     compression: str = "none"

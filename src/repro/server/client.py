@@ -84,13 +84,6 @@ from repro.server.protocol import (
 #: response: the request was refused *before* execution, nothing was applied.
 RETRYABLE_CODES = ("overloaded", "busy", "shutting_down", "throttled")
 
-#: Request types whose execution changes state — the ones that carry
-#: idempotency tokens when a retry policy is active.
-_MUTATING_TYPES = (
-    PutRequest, DeleteRequest, MergeRequest, BatchRequest, TxnCommitRequest,
-)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How hard an :class:`LSMClient` fights for each request.
@@ -248,11 +241,12 @@ class LSMClient:
 
     # -- request plumbing ------------------------------------------------------
 
-    def _call(self, op: str, request: Message, expect: type) -> Message:
+    def _call(self, request: Message, expect: type) -> Message:
         if self._closed:
             raise ReproError("operation on a closed LSMClient")
+        op = request.OP
         policy = self.retry
-        if policy is not None and isinstance(request, _MUTATING_TYPES):
+        if policy is not None and "idem" in request.TRAILERS:
             # One token for the whole operation: every retry re-sends the
             # same pair, which is what lets the server dedup them.
             request = dataclasses.replace(
@@ -396,7 +390,7 @@ class LSMClient:
 
     def ping(self) -> dict:
         """Liveness: server and engine uptime, as reported by the server."""
-        pong = self._call("ping", PingRequest(tenant=self.tenant), PongResponse)
+        pong = self._call(PingRequest(tenant=self.tenant), PongResponse)
         return {
             "ok": True,
             "server_uptime_seconds": pong.server_uptime_s,
@@ -405,7 +399,7 @@ class LSMClient:
 
     def stats(self) -> dict:
         """The server's full stats snapshot (parsed JSON)."""
-        reply = self._call("stats", StatsRequest(tenant=self.tenant), StatsResponse)
+        reply = self._call(StatsRequest(tenant=self.tenant), StatsResponse)
         return json.loads(reply.payload_json)
 
     def stats_history(self, last_n: int = 0) -> dict:
@@ -416,14 +410,13 @@ class LSMClient:
         ``{"samples", "capacity", "series": {name: {kind, t, v, ...}}}``.
         """
         reply = self._call(
-            "stats_history",
             StatsHistoryRequest(tenant=self.tenant, last_n=last_n),
             StatsHistoryResponse,
         )
         return json.loads(reply.payload_json)
 
     def get(self, key: bytes) -> GetResult:
-        reply = self._call("get", GetRequest(tenant=self.tenant, key=key), GetResponse)
+        reply = self._call(GetRequest(tenant=self.tenant, key=key), GetResponse)
         result = GetResult()
         result.seqno = reply.seqno
         if reply.found:
@@ -433,15 +426,12 @@ class LSMClient:
 
     def put(self, key: bytes, value: bytes, ttl: Optional[float] = None) -> None:
         self._call(
-            "put",
-            PutRequest(tenant=self.tenant, key=key, value=value, ttl=ttl),
-            OkResponse,
+            PutRequest(tenant=self.tenant, key=key, value=value, ttl=ttl), OkResponse
         )
 
     def merge(self, key: bytes, operand: bytes, operator: str = "counter") -> None:
         """Queue a merge operand for a server-registered operator."""
         self._call(
-            "merge",
             MergeRequest(
                 tenant=self.tenant, key=key, operand=operand, operator=operator
             ),
@@ -449,13 +439,12 @@ class LSMClient:
         )
 
     def delete(self, key: bytes) -> None:
-        self._call("delete", DeleteRequest(tenant=self.tenant, key=key), OkResponse)
+        self._call(DeleteRequest(tenant=self.tenant, key=key), OkResponse)
 
     def multi_get(self, keys: Sequence[bytes]) -> Dict[bytes, GetResult]:
         """Batched lookup over the distinct keys, in sorted key order (the
         request is normalized client-side so every handle agrees)."""
         reply = self._call(
-            "multi_get",
             MultiGetRequest(tenant=self.tenant, keys=tuple(sorted(set(keys)))),
             MultiGetResponse,
         )
@@ -480,7 +469,6 @@ class LSMClient:
         re-issue from past the last key to page through).
         """
         reply = self._call(
-            "scan",
             ScanRequest(tenant=self.tenant, start=start, end=end, limit=limit),
             ScanResponse,
         )
@@ -490,9 +478,7 @@ class LSMClient:
     def batch(self, ops: Sequence[tuple]) -> int:
         """Apply ``(kind, key, value[, extra])`` writes atomically in order
         (one group-commit WAL frame server-side); returns the count."""
-        reply = self._call(
-            "batch", BatchRequest(tenant=self.tenant, ops=tuple(ops)), OkResponse
-        )
+        reply = self._call(BatchRequest(tenant=self.tenant, ops=tuple(ops)), OkResponse)
         return reply.count
 
     def write(self, batch) -> None:
@@ -510,7 +496,6 @@ class LSMClient:
         server-side validation fails (nothing applied).
         """
         reply = self._call(
-            "txn_commit",
             TxnCommitRequest(
                 tenant=self.tenant,
                 read_set=tuple(dict(read_set).items()),

@@ -13,10 +13,13 @@ offset bytes field
 8+N    4     CRC32 over bytes ``[0, 8+N)`` — header *and* payload
 ====== ===== =========================================================
 
-Payloads reuse the :mod:`repro.common.encoding` conventions: unsigned
-LEB128 varints for counts and lengths, varint-length-prefixed byte
-strings for keys/values/tenant ids. Floats are fixed 8-byte IEEE-754
-big-endian. A decoder rejects (``ProtocolError``) any frame with a bad
+Each message class declares its payload as ``(field, codec)`` pairs plus
+the optional trailing blocks it accepts (see :class:`Message`); one generic
+codec encodes and decodes every type. Field codecs reuse the
+:mod:`repro.common.encoding` conventions: unsigned LEB128 varints for
+counts and lengths, varint-length-prefixed byte strings for
+keys/values/tenant ids. Floats are fixed 8-byte IEEE-754 big-endian.
+A decoder rejects (``ProtocolError``) any frame with a bad
 magic, unknown version or type, an over-limit length, a CRC mismatch, or
 payload bytes left over after the typed decode — so corruption anywhere
 in a frame is detected, never silently accepted.
@@ -32,7 +35,8 @@ import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from repro.common.encoding import (
     decode_varint,
@@ -69,7 +73,15 @@ class RemoteError(ReproError):
         self.remote_message = message
 
 
-# -- payload primitives -------------------------------------------------------
+# -- field codecs -------------------------------------------------------------
+
+
+class Codec(NamedTuple):
+    """How one field travels: ``put(out, value)`` appends it to a payload and
+    ``get(buf, offset)`` reads it back as ``(value, next_offset)``."""
+
+    put: Callable[[bytearray, Any], None]
+    get: Callable[[bytes, int], Tuple[Any, int]]
 
 
 def _put_str(out: bytearray, text: str) -> None:
@@ -84,10 +96,6 @@ def _get_str(buf: bytes, offset: int) -> Tuple[str, int]:
         raise ProtocolError(f"invalid utf-8 in string field: {exc}") from None
 
 
-def _put_bool(out: bytearray, flag: bool) -> None:
-    out.append(1 if flag else 0)
-
-
 def _get_bool(buf: bytes, offset: int) -> Tuple[bool, int]:
     if offset >= len(buf):
         raise ProtocolError("truncated boolean field")
@@ -97,91 +105,144 @@ def _get_bool(buf: bytes, offset: int) -> Tuple[bool, int]:
     return bool(byte), offset + 1
 
 
-def _put_optional_bytes(out: bytearray, data: Optional[bytes]) -> None:
-    _put_bool(out, data is not None)
-    if data is not None:
-        put_length_prefixed(out, data)
+def _get_f64(buf: bytes, offset: int) -> Tuple[float, int]:
+    if offset + _F64.size > len(buf):
+        raise ProtocolError("truncated f64 field")
+    return _F64.unpack_from(buf, offset)[0], offset + _F64.size
 
 
-def _get_optional_bytes(buf: bytes, offset: int) -> Tuple[Optional[bytes], int]:
-    present, offset = _get_bool(buf, offset)
-    if not present:
-        return None, offset
-    data, offset = get_length_prefixed(buf, offset)
-    return bytes(data), offset
+STR = Codec(_put_str, _get_str)
+#: Payloads are ``bytes``, so the slice ``get_length_prefixed`` returns is
+#: already an independent ``bytes`` value.
+BYTES = Codec(put_length_prefixed, get_length_prefixed)
+UINT = Codec(lambda out, n: out.extend(encode_varint(n)), decode_varint)
+BOOL = Codec(lambda out, flag: out.append(1 if flag else 0), _get_bool)
+F64 = Codec(lambda out, x: out.extend(_F64.pack(x)), _get_f64)
 
 
-def _put_trace(out: bytearray, trace: Optional[TraceContext]) -> None:
-    """Optional trailing trace-context block (see :func:`_get_trace`)."""
-    if trace is None:
-        return
-    _put_bool(out, True)
-    _put_str(out, trace.trace_id)
-    _put_str(out, trace.span_id)
-    _put_bool(out, trace.sampled)
+def optional(codec: Codec) -> Codec:
+    """A presence flag, then the value when present; absent is None."""
+    put, get = codec
+
+    def put_optional(out: bytearray, value: Any) -> None:
+        if value is None:
+            out.append(0)
+        else:
+            out.append(1)
+            put(out, value)
+
+    def get_optional(buf: bytes, offset: int) -> Tuple[Any, int]:
+        present, offset = _get_bool(buf, offset)
+        return get(buf, offset) if present else (None, offset)
+
+    return Codec(put_optional, get_optional)
 
 
-def _put_trailers(
-    out: bytearray,
-    trace: Optional[TraceContext],
-    idem: Optional[Tuple[str, int]] = None,
-) -> None:
-    """Encode the optional trailing blocks of a mutating request.
+def since_v1(codec: Codec, default: Any) -> Codec:
+    """A field added after the first release. It is always written, but an
+    older peer's payload may end before it, which decodes as ``default``."""
+    get = codec.get
 
-    Order on the wire is ``[trace block][idempotency block]``. The trace
-    block keeps its original "strictly trailing" encoding — when neither
-    block is present nothing is written, so every pre-trace frame stays
-    byte-identical — but an idempotency block forces an explicit absent
-    flag for the trace so the two flag-prefixed blocks never alias.
-    """
-    if trace is None and idem is None:
-        return
-    _put_trace(out, trace)
-    if trace is None:
-        _put_bool(out, False)  # explicit "no trace" so the idem flag is next
-    if idem is not None:
-        _put_bool(out, True)
-        client_id, token = idem
-        _put_str(out, client_id)
-        out.extend(encode_varint(int(token)))
+    def get_or_default(buf: bytes, offset: int) -> Tuple[Any, int]:
+        return (default, offset) if offset == len(buf) else get(buf, offset)
+
+    return Codec(codec.put, get_or_default)
 
 
-def _get_idem(buf: bytes, offset: int) -> Tuple[Optional[Tuple[str, int]], int]:
-    """Decode the optional idempotency block after the trace block.
+def _row(codecs: Tuple[Codec, ...]) -> Codec:
+    """Codecs back to back as one tuple value (a lone codec stays itself)."""
+    if len(codecs) == 1:
+        return codecs[0]
+    puts = tuple(codec.put for codec in codecs)
+    gets = tuple(codec.get for codec in codecs)
 
-    The block is ``flag 0x01 + client_id string + token varint``; a payload
-    that ends (or carries an explicit absent flag) decodes as no token.
-    Together with ``(tenant,)`` the pair keys the server's request-dedup
-    table, so a retried mutation is applied at most once.
-    """
-    if offset == len(buf):
-        return None, offset
-    present, offset = _get_bool(buf, offset)
-    if not present:
-        return None, offset
-    client_id, offset = _get_str(buf, offset)
-    token, offset = decode_varint(buf, offset)
-    return (client_id, token), offset
+    def put_row(out: bytearray, row: tuple) -> None:
+        for put, value in zip(puts, row):
+            put(out, value)
+
+    def get_row(buf: bytes, offset: int) -> Tuple[tuple, int]:
+        row = []
+        for get in gets:
+            value, offset = get(buf, offset)
+            row.append(value)
+        return tuple(row), offset
+
+    return Codec(put_row, get_row)
 
 
-def _get_trace(buf: bytes, offset: int) -> Tuple[Optional[TraceContext], int]:
-    """Decode the optional trace context at the end of a request payload.
+def seq(*codecs: Codec) -> Codec:
+    """A varint count, then that many items; with several codecs each item
+    is a row tuple."""
+    put, get = _row(codecs)
 
-    The block is strictly trailing: a payload that simply ends (the pre-trace
-    wire image, or a tracing-unaware client) decodes as no context, while a
-    present block is a flag byte + trace_id + parent span_id + sampled flag.
-    This keeps every pre-existing frame byte-for-byte valid — the CRC covers
-    the block when present, and ``_expect_end`` still rejects trailing junk.
-    """
-    if offset == len(buf):
-        return None, offset
-    present, offset = _get_bool(buf, offset)
-    if not present:
-        return None, offset
-    trace_id, offset = _get_str(buf, offset)
-    span_id, offset = _get_str(buf, offset)
-    sampled, offset = _get_bool(buf, offset)
+    def put_seq(out: bytearray, items: tuple) -> None:
+        out.extend(encode_varint(len(items)))
+        for item in items:
+            put(out, item)
+
+    def get_seq(buf: bytes, offset: int) -> Tuple[tuple, int]:
+        count, offset = decode_varint(buf, offset)
+        items = []
+        for _ in range(count):
+            item, offset = get(buf, offset)
+            items.append(item)
+        return tuple(items), offset
+
+    return Codec(put_seq, get_seq)
+
+
+_WIRE_OP_KINDS = ("put", "delete", "merge", "put_ttl")
+#: The kind-specific extra after an op's key and value, by kind byte.
+_WIRE_OP_EXTRAS = (None, None, STR, F64)
+
+
+def _put_batch_op(out: bytearray, op: tuple) -> None:
+    kind, key, value, extra = op
+    kind_byte = _WIRE_OP_KINDS.index(kind)
+    out.append(kind_byte)
+    put_length_prefixed(out, key)
+    put_length_prefixed(out, value)
+    if _WIRE_OP_EXTRAS[kind_byte] is not None:
+        _WIRE_OP_EXTRAS[kind_byte].put(out, extra)
+
+
+def _get_batch_op(buf: bytes, offset: int) -> Tuple[tuple, int]:
+    if offset >= len(buf):
+        raise ProtocolError("truncated batch op")
+    kind_byte = buf[offset]
+    if kind_byte >= len(_WIRE_OP_KINDS):
+        raise ProtocolError(f"unknown batch op kind {kind_byte}")
+    key, offset = get_length_prefixed(buf, offset + 1)
+    value, offset = get_length_prefixed(buf, offset)
+    extra = None
+    if _WIRE_OP_EXTRAS[kind_byte] is not None:
+        extra, offset = _WIRE_OP_EXTRAS[kind_byte].get(buf, offset)
+    return (_WIRE_OP_KINDS[kind_byte], key, value, extra), offset
+
+
+#: One normalized batch/transaction op: kind byte, key, value, then the
+#: operator name (merge) or TTL seconds (put_ttl).
+BATCH_OP = Codec(_put_batch_op, _get_batch_op)
+
+_TRACE_ROW = _row((STR, STR, BOOL))
+
+
+def _get_trace(buf: bytes, offset: int) -> Tuple[TraceContext, int]:
+    (trace_id, span_id, sampled), offset = _TRACE_ROW.get(buf, offset)
     return TraceContext(trace_id=trace_id, span_id=span_id, sampled=sampled), offset
+
+
+#: The optional trailing blocks, in the order they appear on the wire.
+#: ``trace`` propagates the caller's trace context; ``idem`` is the
+#: ``(client_id, token)`` pair that, with the tenant, keys the server's
+#: request-dedup table so a retried mutation is applied at most once.
+_TRAILER_CODECS = {
+    "trace": Codec(
+        lambda out, t: _TRACE_ROW.put(out, (t.trace_id, t.span_id, t.sampled)),
+        _get_trace,
+    ),
+    "idem": _row((STR, UINT)),
+}
 
 
 # -- message classes ----------------------------------------------------------
@@ -189,105 +250,125 @@ def _get_trace(buf: bytes, offset: int) -> Tuple[Optional[TraceContext], int]:
 _MESSAGE_TYPES: Dict[int, Type["Message"]] = {}
 
 
-def _register(cls: Type["Message"]) -> Type["Message"]:
-    if cls.TYPE in _MESSAGE_TYPES:  # pragma: no cover - module definition bug
-        raise ValueError(f"duplicate message type 0x{cls.TYPE:02x}")
-    _MESSAGE_TYPES[cls.TYPE] = cls
-    return cls
-
-
 class Message:
-    """Base class: every frame body is one typed, round-trippable message."""
+    """Base class: every frame body is one typed, round-trippable message.
+
+    A subclass declares its payload and writes no codec code:
+
+    * ``TYPE``: the frame's message-type byte;
+    * ``WIRE``: ``(field, codec)`` pairs in wire order, which need not be
+      the dataclass field order;
+    * ``TRAILERS``: the optional trailing blocks it accepts, ``("trace",)``
+      or ``("trace", "idem")``;
+    * ``OP`` (requests only): the op name the server dispatches, meters and
+      traces the request under. A request with ``"idem"`` in ``TRAILERS``
+      mutates state and carries an idempotency token under a retry policy.
+
+    Defining the subclass registers ``TYPE`` with the frame decoder.
+
+    Trailer rule: each trailer is a presence flag, then its block. Absent
+    trailers at the end are not written, so a payload may simply end after
+    its last ``WIRE`` field (the image of frames from before the blocks
+    existed). An absent trailer before a present one is an explicit 0 flag.
+    """
 
     TYPE = -1
+    OP = ""
+    WIRE: Tuple[Tuple[str, Codec], ...] = ()
+    TRAILERS: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.TYPE in _MESSAGE_TYPES:  # pragma: no cover - module definition bug
+            raise ValueError(f"duplicate message type 0x{cls.TYPE:02x}")
+        _MESSAGE_TYPES[cls.TYPE] = cls
+        names = tuple(name for name, _ in cls.WIRE) + cls.TRAILERS
+        codecs = [codec for _, codec in cls.WIRE] + [
+            since_v1(optional(_TRAILER_CODECS[name]), None) for name in cls.TRAILERS
+        ]
+        getter = attrgetter(*names)
+        cls._values = staticmethod(
+            getter if len(names) > 1 else lambda message: (getter(message),)
+        )
+        cls._names = names
+        cls._puts = tuple(codec.put for codec in codecs)
+        cls._gets = tuple(codec.get for codec in codecs)
 
     def encode_payload(self) -> bytes:
-        raise NotImplementedError
+        values = self._values(self)
+        end = len(values)
+        while end > len(self.WIRE) and values[end - 1] is None:
+            end -= 1  # trailing absent trailers are not written
+        out = bytearray()
+        for put, value in zip(self._puts, values[:end]):
+            put(out, value)
+        return bytes(out)
 
     @classmethod
     def decode_payload(cls, buf: bytes) -> "Message":
-        raise NotImplementedError
+        fields = {}
+        offset = 0
+        for name, get in zip(cls._names, cls._gets):
+            fields[name], offset = get(buf, offset)
+        _expect_end(buf, offset)
+        return cls(**fields)
 
 
-@_register
+def _expect_end(buf: bytes, offset: int) -> None:
+    if offset != len(buf):
+        raise ProtocolError(
+            f"{len(buf) - offset} trailing byte(s) after payload decode"
+        )
+
+
 @dataclass(frozen=True)
 class PingRequest(Message):
     """Liveness probe; answered by :class:`PongResponse`."""
 
     TYPE = 0x01
+    OP = "ping"
+    WIRE = (("tenant", STR),)
+    TRAILERS = ("trace",)
     tenant: str = ""
     trace: Optional[TraceContext] = None
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        _put_trace(out, self.trace)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "PingRequest":
-        tenant, offset = _get_str(buf, 0)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, trace=trace)
-
-
-@_register
 @dataclass(frozen=True)
 class StatsRequest(Message):
     """Request the server's JSON stats snapshot (metrics + engine + tenants)."""
 
     TYPE = 0x02
+    OP = "stats"
+    WIRE = (("tenant", STR),)
+    TRAILERS = ("trace",)
     tenant: str = ""
     trace: Optional[TraceContext] = None
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        _put_trace(out, self.trace)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "StatsRequest":
-        tenant, offset = _get_str(buf, 0)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, trace=trace)
-
-
-@_register
 @dataclass(frozen=True)
 class GetRequest(Message):
     TYPE = 0x03
+    OP = "get"
+    WIRE = (("tenant", STR), ("key", BYTES))
+    TRAILERS = ("trace",)
     tenant: str
     key: bytes
     trace: Optional[TraceContext] = None
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        put_length_prefixed(out, self.key)
-        _put_trace(out, self.trace)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "GetRequest":
-        tenant, offset = _get_str(buf, 0)
-        key, offset = get_length_prefixed(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, key=bytes(key), trace=trace)
-
-
-@_register
 @dataclass(frozen=True)
 class PutRequest(Message):
     """Single durable write; ``ttl`` (simulated seconds) is an optional
-    expiry — a presence flag plus fixed f64, encoded before the trace
-    block. ``idem`` is an optional trailing ``(client_id, token)``
-    idempotency pair (see :func:`_get_idem`)."""
+    expiry, added after the first release (an older peer's payload ends
+    after ``value``)."""
 
     TYPE = 0x04
+    OP = "put"
+    WIRE = (
+        ("tenant", STR), ("key", BYTES), ("value", BYTES),
+        ("ttl", since_v1(optional(F64), None)),
+    )
+    TRAILERS = ("trace", "idem")
     tenant: str
     key: bytes
     value: bytes
@@ -295,69 +376,25 @@ class PutRequest(Message):
     trace: Optional[TraceContext] = None
     idem: Optional[Tuple[str, int]] = None
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        put_length_prefixed(out, self.key)
-        put_length_prefixed(out, self.value)
-        _put_bool(out, self.ttl is not None)
-        if self.ttl is not None:
-            out.extend(_F64.pack(self.ttl))
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "PutRequest":
-        tenant, offset = _get_str(buf, 0)
-        key, offset = get_length_prefixed(buf, offset)
-        value, offset = get_length_prefixed(buf, offset)
-        ttl: Optional[float] = None
-        if offset < len(buf):
-            present, offset = _get_bool(buf, offset)
-            if present:
-                if offset + _F64.size > len(buf):
-                    raise ProtocolError("truncated ttl field")
-                ttl = _F64.unpack_from(buf, offset)[0]
-                offset += _F64.size
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(
-            tenant=tenant, key=bytes(key), value=bytes(value), ttl=ttl,
-            trace=trace, idem=idem,
-        )
-
-
-@_register
 @dataclass(frozen=True)
 class DeleteRequest(Message):
     TYPE = 0x05
+    OP = "delete"
+    WIRE = (("tenant", STR), ("key", BYTES))
+    TRAILERS = ("trace", "idem")
     tenant: str
     key: bytes
     trace: Optional[TraceContext] = None
     idem: Optional[Tuple[str, int]] = None
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        put_length_prefixed(out, self.key)
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "DeleteRequest":
-        tenant, offset = _get_str(buf, 0)
-        key, offset = get_length_prefixed(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, key=bytes(key), trace=trace, idem=idem)
-
-
-@_register
 @dataclass(frozen=True)
 class MultiGetRequest(Message):
     TYPE = 0x06
+    OP = "multi_get"
+    WIRE = (("tenant", STR), ("keys", seq(BYTES)))
+    TRAILERS = ("trace",)
     tenant: str
     keys: Tuple[bytes, ...] = ()
     trace: Optional[TraceContext] = None
@@ -365,29 +402,7 @@ class MultiGetRequest(Message):
     def __post_init__(self) -> None:
         object.__setattr__(self, "keys", tuple(bytes(k) for k in self.keys))
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        out.extend(encode_varint(len(self.keys)))
-        for key in self.keys:
-            put_length_prefixed(out, key)
-        _put_trace(out, self.trace)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "MultiGetRequest":
-        tenant, offset = _get_str(buf, 0)
-        count, offset = decode_varint(buf, offset)
-        keys = []
-        for _ in range(count):
-            key, offset = get_length_prefixed(buf, offset)
-            keys.append(bytes(key))
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, keys=tuple(keys), trace=trace)
-
-
-@_register
 @dataclass(frozen=True)
 class ScanRequest(Message):
     """Range scan; ``start``/``end`` are inclusive bounds (None = unbounded),
@@ -395,30 +410,17 @@ class ScanRequest(Message):
     (the server clamps it to its own ``scan_limit_max``)."""
 
     TYPE = 0x07
+    OP = "scan"
+    WIRE = (
+        ("tenant", STR), ("start", optional(BYTES)), ("end", optional(BYTES)),
+        ("limit", UINT),
+    )
+    TRAILERS = ("trace",)
     tenant: str
     start: Optional[bytes] = None
     end: Optional[bytes] = None
     limit: int = 1000
     trace: Optional[TraceContext] = None
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        _put_optional_bytes(out, self.start)
-        _put_optional_bytes(out, self.end)
-        out.extend(encode_varint(self.limit))
-        _put_trace(out, self.trace)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "ScanRequest":
-        tenant, offset = _get_str(buf, 0)
-        start, offset = _get_optional_bytes(buf, offset)
-        end, offset = _get_optional_bytes(buf, offset)
-        limit, offset = decode_varint(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, start=start, end=end, limit=limit, trace=trace)
 
 
 def _normalize_wire_ops(ops) -> "Tuple[tuple, ...]":
@@ -449,47 +451,6 @@ def _normalize_wire_ops(ops) -> "Tuple[tuple, ...]":
     return tuple(normalized)
 
 
-_WIRE_OP_KINDS = ("put", "delete", "merge", "put_ttl")
-
-
-def _put_wire_ops(out: bytearray, ops) -> None:
-    out.extend(encode_varint(len(ops)))
-    for kind, key, value, extra in ops:
-        out.append(_WIRE_OP_KINDS.index(kind))
-        put_length_prefixed(out, key)
-        put_length_prefixed(out, value)
-        if kind == "merge":
-            _put_str(out, extra)
-        elif kind == "put_ttl":
-            out.extend(_F64.pack(extra))
-
-
-def _get_wire_ops(buf: bytes, offset: int) -> "Tuple[List[tuple], int]":
-    count, offset = decode_varint(buf, offset)
-    ops: List[tuple] = []
-    for _ in range(count):
-        if offset >= len(buf):
-            raise ProtocolError("truncated batch op")
-        kind_byte = buf[offset]
-        offset += 1
-        if kind_byte >= len(_WIRE_OP_KINDS):
-            raise ProtocolError(f"unknown batch op kind {kind_byte}")
-        kind = _WIRE_OP_KINDS[kind_byte]
-        key, offset = get_length_prefixed(buf, offset)
-        value, offset = get_length_prefixed(buf, offset)
-        extra: Optional[object] = None
-        if kind == "merge":
-            extra, offset = _get_str(buf, offset)
-        elif kind == "put_ttl":
-            if offset + _F64.size > len(buf):
-                raise ProtocolError("truncated put_ttl op")
-            extra = _F64.unpack_from(buf, offset)[0]
-            offset += _F64.size
-        ops.append((kind, bytes(key), bytes(value), extra))
-    return ops, offset
-
-
-@_register
 @dataclass(frozen=True)
 class BatchRequest(Message):
     """Atomically ordered writes: ``ops`` are ``(kind, key, value[, extra])``
@@ -498,39 +459,28 @@ class BatchRequest(Message):
     (put_ttl). Normalized ops always carry the 4th element."""
 
     TYPE = 0x08
+    OP = "batch"
+    WIRE = (("tenant", STR), ("ops", seq(BATCH_OP)))
+    TRAILERS = ("trace", "idem")
     tenant: str
     ops: Tuple[tuple, ...] = ()
     trace: Optional[TraceContext] = None
     idem: Optional[Tuple[str, int]] = None
 
-    _KINDS = _WIRE_OP_KINDS
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", _normalize_wire_ops(self.ops))
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        _put_wire_ops(out, self.ops)
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "BatchRequest":
-        tenant, offset = _get_str(buf, 0)
-        ops, offset = _get_wire_ops(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, ops=tuple(ops), trace=trace, idem=idem)
-
-
-@_register
 @dataclass(frozen=True)
 class MergeRequest(Message):
     """A single merge-operand write for a named (pre-registered) operator."""
 
     TYPE = 0x0A
+    OP = "merge"
+    WIRE = (
+        ("tenant", STR), ("key", BYTES), ("operand", BYTES), ("operator", STR),
+    )
+    TRAILERS = ("trace", "idem")
     tenant: str
     key: bytes
     operand: bytes
@@ -538,31 +488,7 @@ class MergeRequest(Message):
     trace: Optional[TraceContext] = None
     idem: Optional[Tuple[str, int]] = None
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        put_length_prefixed(out, self.key)
-        put_length_prefixed(out, self.operand)
-        _put_str(out, self.operator)
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "MergeRequest":
-        tenant, offset = _get_str(buf, 0)
-        key, offset = get_length_prefixed(buf, offset)
-        operand, offset = get_length_prefixed(buf, offset)
-        operator, offset = _get_str(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(
-            tenant=tenant, key=bytes(key), operand=bytes(operand),
-            operator=operator, trace=trace, idem=idem,
-        )
-
-
-@_register
 @dataclass(frozen=True)
 class TxnCommitRequest(Message):
     """An optimistic-transaction commit: read-set fingerprints + write ops.
@@ -574,6 +500,11 @@ class TxnCommitRequest(Message):
     """
 
     TYPE = 0x0B
+    OP = "txn_commit"
+    WIRE = (
+        ("tenant", STR), ("read_set", seq(BYTES, UINT)), ("ops", seq(BATCH_OP)),
+    )
+    TRAILERS = ("trace", "idem")
     tenant: str
     read_set: Tuple[Tuple[bytes, int], ...] = ()
     ops: Tuple[tuple, ...] = ()
@@ -588,37 +519,7 @@ class TxnCommitRequest(Message):
         )
         object.__setattr__(self, "ops", _normalize_wire_ops(self.ops))
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        out.extend(encode_varint(len(self.read_set)))
-        for key, seqno in self.read_set:
-            put_length_prefixed(out, key)
-            out.extend(encode_varint(seqno))
-        _put_wire_ops(out, self.ops)
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "TxnCommitRequest":
-        tenant, offset = _get_str(buf, 0)
-        count, offset = decode_varint(buf, offset)
-        read_set = []
-        for _ in range(count):
-            key, offset = get_length_prefixed(buf, offset)
-            seqno, offset = decode_varint(buf, offset)
-            read_set.append((bytes(key), seqno))
-        ops, offset = _get_wire_ops(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(
-            tenant=tenant, read_set=tuple(read_set), ops=tuple(ops),
-            trace=trace, idem=idem,
-        )
-
-
-@_register
 @dataclass(frozen=True)
 class StatsHistoryRequest(Message):
     """Request the server's time-series history (the sampler's ring buffers).
@@ -628,121 +529,60 @@ class StatsHistoryRequest(Message):
     """
 
     TYPE = 0x09
+    OP = "stats_history"
+    WIRE = (("tenant", STR), ("last_n", UINT))
+    TRAILERS = ("trace",)
     tenant: str = ""
     last_n: int = 0
     trace: Optional[TraceContext] = None
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        out.extend(encode_varint(self.last_n))
-        _put_trace(out, self.trace)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "StatsHistoryRequest":
-        tenant, offset = _get_str(buf, 0)
-        last_n, offset = decode_varint(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, last_n=last_n, trace=trace)
-
-
-@_register
 @dataclass(frozen=True)
 class PongResponse(Message):
     TYPE = 0x81
+    WIRE = (("server_uptime_s", F64), ("engine_uptime_s", F64))
     server_uptime_s: float = 0.0
     engine_uptime_s: float = 0.0
 
-    def encode_payload(self) -> bytes:
-        return _F64.pack(self.server_uptime_s) + _F64.pack(self.engine_uptime_s)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "PongResponse":
-        if len(buf) != 2 * _F64.size:
-            raise ProtocolError(f"pong payload must be 16 bytes, got {len(buf)}")
-        return cls(
-            server_uptime_s=_F64.unpack_from(buf, 0)[0],
-            engine_uptime_s=_F64.unpack_from(buf, _F64.size)[0],
-        )
-
-
-@_register
 @dataclass(frozen=True)
 class StatsResponse(Message):
     """The server's stats snapshot as a JSON document (UTF-8)."""
 
     TYPE = 0x82
+    WIRE = (("payload_json", STR),)
     payload_json: str = "{}"
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.payload_json)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "StatsResponse":
-        text, offset = _get_str(buf, 0)
-        _expect_end(buf, offset)
-        return cls(payload_json=text)
-
-
-@_register
 @dataclass(frozen=True)
 class GetResponse(Message):
     """Point-lookup reply. ``seqno`` is the newest observed version of the
     key (0 when absent) — the fingerprint optimistic transactions validate
-    against; encoded as a trailing varint (absent in pre-txn frames, which
-    decode as seqno 0)."""
+    against; added after the first release (older peers' payloads end after
+    ``value`` and decode as seqno 0)."""
 
     TYPE = 0x83
+    WIRE = (("found", BOOL), ("value", BYTES), ("seqno", since_v1(UINT, 0)))
     found: bool = False
     value: bytes = b""
     seqno: int = 0
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_bool(out, self.found)
-        put_length_prefixed(out, self.value)
-        out.extend(encode_varint(self.seqno))
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "GetResponse":
-        found, offset = _get_bool(buf, 0)
-        value, offset = get_length_prefixed(buf, offset)
-        seqno = 0
-        if offset < len(buf):
-            seqno, offset = decode_varint(buf, offset)
-        _expect_end(buf, offset)
-        return cls(found=found, value=bytes(value), seqno=seqno)
-
-
-@_register
 @dataclass(frozen=True)
 class OkResponse(Message):
     """Acknowledges a write; ``count`` is the records applied (batch size)."""
 
     TYPE = 0x84
+    WIRE = (("count", UINT),)
     count: int = 1
 
-    def encode_payload(self) -> bytes:
-        return encode_varint(self.count)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "OkResponse":
-        count, offset = decode_varint(buf, 0)
-        _expect_end(buf, offset)
-        return cls(count=count)
-
-
-@_register
 @dataclass(frozen=True)
 class MultiGetResponse(Message):
     """Per-key results, in the request's key order: ``(key, found, value)``."""
 
     TYPE = 0x85
+    WIRE = (("entries", seq(BYTES, BOOL, BYTES)),)
     entries: Tuple[Tuple[bytes, bool, bytes], ...] = ()
 
     def __post_init__(self) -> None:
@@ -752,34 +592,13 @@ class MultiGetResponse(Message):
             tuple((bytes(k), bool(f), bytes(v)) for k, f, v in self.entries),
         )
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        out.extend(encode_varint(len(self.entries)))
-        for key, found, value in self.entries:
-            put_length_prefixed(out, key)
-            _put_bool(out, found)
-            put_length_prefixed(out, value)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "MultiGetResponse":
-        count, offset = decode_varint(buf, 0)
-        entries = []
-        for _ in range(count):
-            key, offset = get_length_prefixed(buf, offset)
-            found, offset = _get_bool(buf, offset)
-            value, offset = get_length_prefixed(buf, offset)
-            entries.append((bytes(key), found, bytes(value)))
-        _expect_end(buf, offset)
-        return cls(entries=tuple(entries))
-
-
-@_register
 @dataclass(frozen=True)
 class ScanResponse(Message):
     """Scan results; ``truncated`` signals the limit cut the range short."""
 
     TYPE = 0x86
+    WIRE = (("truncated", BOOL), ("items", seq(BYTES, BYTES)))
     items: Tuple[Tuple[bytes, bytes], ...] = ()
     truncated: bool = False
 
@@ -788,29 +607,7 @@ class ScanResponse(Message):
             self, "items", tuple((bytes(k), bytes(v)) for k, v in self.items)
         )
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_bool(out, self.truncated)
-        out.extend(encode_varint(len(self.items)))
-        for key, value in self.items:
-            put_length_prefixed(out, key)
-            put_length_prefixed(out, value)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "ScanResponse":
-        truncated, offset = _get_bool(buf, 0)
-        count, offset = decode_varint(buf, offset)
-        items = []
-        for _ in range(count):
-            key, offset = get_length_prefixed(buf, offset)
-            value, offset = get_length_prefixed(buf, offset)
-            items.append((bytes(key), bytes(value)))
-        _expect_end(buf, offset)
-        return cls(items=tuple(items), truncated=truncated)
-
-
-@_register
 @dataclass(frozen=True)
 class ErrorResponse(Message):
     """A failed request. ``code`` is machine-readable (``bad_request``,
@@ -818,24 +615,11 @@ class ErrorResponse(Message):
     ``overloaded``)."""
 
     TYPE = 0x8F
+    WIRE = (("code", STR), ("message", STR))
     code: str = "internal"
     message: str = ""
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.code)
-        _put_str(out, self.message)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "ErrorResponse":
-        code, offset = _get_str(buf, 0)
-        message, offset = _get_str(buf, offset)
-        _expect_end(buf, offset)
-        return cls(code=code, message=message)
-
-
-@_register
 @dataclass(frozen=True)
 class StatsHistoryResponse(Message):
     """The sampler's ring-buffer series as a JSON document (UTF-8).
@@ -846,36 +630,12 @@ class StatsHistoryResponse(Message):
     """
 
     TYPE = 0x87
+    WIRE = (("payload_json", STR),)
     payload_json: str = "{}"
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.payload_json)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "StatsHistoryResponse":
-        text, offset = _get_str(buf, 0)
-        _expect_end(buf, offset)
-        return cls(payload_json=text)
-
-
-REQUEST_TYPES = (
-    PingRequest, StatsRequest, GetRequest, PutRequest,
-    DeleteRequest, MultiGetRequest, ScanRequest, BatchRequest,
-    StatsHistoryRequest, MergeRequest, TxnCommitRequest,
-)
-RESPONSE_TYPES = (
-    PongResponse, StatsResponse, GetResponse, OkResponse,
-    MultiGetResponse, ScanResponse, ErrorResponse, StatsHistoryResponse,
-)
-
-
-def _expect_end(buf: bytes, offset: int) -> None:
-    if offset != len(buf):
-        raise ProtocolError(
-            f"{len(buf) - offset} trailing byte(s) after payload decode"
-        )
+REQUEST_TYPES = tuple(cls for cls in _MESSAGE_TYPES.values() if cls.OP)
+RESPONSE_TYPES = tuple(cls for cls in _MESSAGE_TYPES.values() if not cls.OP)
 
 
 # -- framing ------------------------------------------------------------------

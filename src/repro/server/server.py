@@ -42,28 +42,17 @@ from repro.server.config import ServerConfig
 from repro.server.dedup import DedupTable
 from repro.server.overload import STATE_OK, STATE_SHED, OverloadGuard
 from repro.server.protocol import (
-    BatchRequest,
-    DeleteRequest,
     ErrorResponse,
     FrameDecoder,
-    GetRequest,
     GetResponse,
-    MergeRequest,
     Message,
-    MultiGetRequest,
     MultiGetResponse,
     OkResponse,
-    PingRequest,
     PongResponse,
     ProtocolError,
-    PutRequest,
-    ScanRequest,
     ScanResponse,
-    StatsHistoryRequest,
     StatsHistoryResponse,
-    StatsRequest,
     StatsResponse,
-    TxnCommitRequest,
     encode_frame,
     send_message,
 )
@@ -413,25 +402,11 @@ class LSMServer:
 
     # -- request dispatch ------------------------------------------------------
 
-    _OP_NAMES = {
-        PingRequest: "ping",
-        StatsRequest: "stats",
-        StatsHistoryRequest: "stats_history",
-        GetRequest: "get",
-        PutRequest: "put",
-        DeleteRequest: "delete",
-        MultiGetRequest: "multi_get",
-        ScanRequest: "scan",
-        BatchRequest: "batch",
-        MergeRequest: "merge",
-        TxnCommitRequest: "txn_commit",
-    }
-
     def _serve_request(
         self, conn: socket.socket, request: Message, wire_decode_s: float = 0.0
     ) -> None:
-        op = self._OP_NAMES.get(type(request))
-        if op is None:
+        op = request.OP
+        if not op:
             self._protocol_errors.inc()
             self._try_send(
                 conn,
@@ -560,9 +535,6 @@ class LSMServer:
                 "tenant_throttle", tenant=tenant, waited_s=waited, cost=cost
             )
 
-    #: Ops that change state — the ones idempotency tokens and the
-    #: backpressure-stop shed apply to.
-    _MUTATING_OPS = frozenset({"put", "delete", "merge", "batch", "txn_commit"})
     #: Ops served even while shedding: an operator must be able to see why.
     _ALWAYS_SERVED = frozenset({"ping", "stats", "stats_history"})
 
@@ -570,6 +542,9 @@ class LSMServer:
         self, op: str, request: Message, stages: dict, load_state: str = STATE_OK
     ) -> Message:
         tenant = self._resolve_tenant(request)
+        # Requests that accept an idempotency token are the ones that change
+        # state: the backpressure-stop shed and the dedup table apply to them.
+        mutating = "idem" in request.TRAILERS
         if op not in self._ALWAYS_SERVED:
             if load_state == STATE_SHED:
                 self._shed_total.inc()
@@ -579,7 +554,7 @@ class LSMServer:
                     message="server is shedding load; retry with backoff",
                 )
             if (
-                op in self._MUTATING_OPS
+                mutating
                 and self.overload.shed_on_backpressure_stop
                 and self._backpressure_stopped()
             ):
@@ -590,7 +565,7 @@ class LSMServer:
                     message="engine backpressure is in stop; retry with backoff",
                 )
         idem = getattr(request, "idem", None)
-        if idem is None or self.dedup is None or op not in self._MUTATING_OPS:
+        if idem is None or self.dedup is None or not mutating:
             return self._execute_op(op, request, tenant, stages, load_state)
         # Exactly-once: admit, replay, or park behind an in-flight original.
         client_id, idem_token = idem

@@ -17,11 +17,9 @@ write path. This facade restores the shape production stores actually have:
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.entry import GetResult
-from repro.core.config import LSMConfig
 from repro.core.lsm_tree import LSMTree, Snapshot
 from repro.errors import ClosedError, ConflictError
 from repro.observe.tracing import TraceContext
@@ -36,7 +34,7 @@ class DBService:
     """A concurrent database service over one :class:`LSMTree`.
 
     Args:
-        tree: the tree to serve, or an :class:`LSMConfig` to build one from.
+        tree: the tree to serve.
         config: service knobs; defaults are reasonable for tests/demos.
         scheduler: an externally owned scheduler to share (the sharded
             deployment passes one scheduler for all shards); the service
@@ -55,14 +53,6 @@ class DBService:
         scheduler: Optional[CompactionScheduler] = None,
         close_tree: bool = False,
     ) -> None:
-        if isinstance(tree, LSMConfig):
-            warnings.warn(
-                "constructing DBService from an LSMConfig is deprecated; "
-                "use repro.open(config, service=True)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            tree = LSMTree(tree)
         self.tree: LSMTree = tree
         self.config = config or ServiceConfig()
         self._close_tree = close_tree

@@ -48,21 +48,20 @@ class TestFaultConfig:
 
 
 class TestKeywordOnlyConfigs:
-    """The api_redesign contract: kw-only now, positional deprecated."""
+    """Configs are keyword-only: positional construction is a TypeError."""
 
     @pytest.mark.parametrize("cls,first_field_value", [
         (LSMConfig, 1 << 20),        # buffer_bytes
         (ServiceConfig, 64),         # max_batch
         (FaultConfig, 42),           # seed
     ])
-    def test_positional_warns_but_works(self, cls, first_field_value):
-        with pytest.warns(DeprecationWarning):
+    def test_positional_rejected(self, cls, first_field_value):
+        with pytest.raises(TypeError, match="keyword arguments only"):
             cls(first_field_value)
 
-    def test_positional_maps_to_leading_fields(self):
-        with pytest.warns(DeprecationWarning):
-            faults = FaultConfig(42)
-        assert faults.seed == 42
+    def test_positional_with_keywords_rejected(self):
+        with pytest.raises(TypeError, match="keyword arguments only"):
+            FaultConfig(42, torn_write_prob=0.1)
 
     def test_keyword_construction_is_silent(self, recwarn):
         LSMConfig(buffer_bytes=1 << 20)

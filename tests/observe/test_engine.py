@@ -2,7 +2,7 @@
 
 import math
 
-from repro import DBService, MetricsRegistry, ServiceConfig, encode_uint_key
+from repro import DBService, LSMTree, MetricsRegistry, ServiceConfig, encode_uint_key
 from repro.bench.harness import preload_tree, run_operations, run_concurrent_workload
 from repro.observe import observe_tree
 from repro.sharding import ShardedStore, even_boundaries
@@ -109,7 +109,7 @@ class TestHarnessRegistry:
 
 class TestServiceObservability:
     def test_attach_and_record(self):
-        service = DBService(make_config(), ServiceConfig(num_workers=1))
+        service = DBService(LSMTree(make_config()), ServiceConfig(num_workers=1))
         try:
             registry = MetricsRegistry()
             service.attach_observability(registry, sampling=0.0)
@@ -127,7 +127,7 @@ class TestServiceObservability:
             service.close()
 
     def test_concurrent_harness_attaches_registry(self):
-        service = DBService(make_config(), ServiceConfig(num_workers=1))
+        service = DBService(LSMTree(make_config()), ServiceConfig(num_workers=1))
         try:
             registry = MetricsRegistry()
             metrics = run_concurrent_workload(

@@ -37,10 +37,12 @@ from repro.server.protocol import (
     StatsResponse,
     TraceContext,
     TxnCommitRequest,
+    _MESSAGE_TYPES,
     decode_frame,
     encode_frame,
     try_decode_frame,
 )
+from tests.server.test_golden_frames import load_golden
 
 # -- strategies ----------------------------------------------------------------
 
@@ -65,11 +67,11 @@ _wire_ops = st.lists(
     max_size=6,
 ).map(tuple)
 
-_requests = st.one_of(
-    st.builds(PingRequest, tenant=_text, trace=_trace),
-    st.builds(StatsRequest, tenant=_text, trace=_trace),
-    st.builds(GetRequest, tenant=_text, key=_key, trace=_trace),
-    st.builds(
+_REQUEST_STRATEGIES = {
+    PingRequest: st.builds(PingRequest, tenant=_text, trace=_trace),
+    StatsRequest: st.builds(StatsRequest, tenant=_text, trace=_trace),
+    GetRequest: st.builds(GetRequest, tenant=_text, key=_key, trace=_trace),
+    PutRequest: st.builds(
         PutRequest,
         tenant=_text,
         key=_key,
@@ -77,14 +79,14 @@ _requests = st.one_of(
         ttl=st.none() | _floats,
         trace=_trace,
     ),
-    st.builds(DeleteRequest, tenant=_text, key=_key, trace=_trace),
-    st.builds(
+    DeleteRequest: st.builds(DeleteRequest, tenant=_text, key=_key, trace=_trace),
+    MultiGetRequest: st.builds(
         MultiGetRequest,
         tenant=_text,
         keys=st.lists(_key, max_size=6).map(tuple),
         trace=_trace,
     ),
-    st.builds(
+    ScanRequest: st.builds(
         ScanRequest,
         tenant=_text,
         start=st.none() | _key,
@@ -92,13 +94,13 @@ _requests = st.one_of(
         limit=_limit,
         trace=_trace,
     ),
-    st.builds(
+    BatchRequest: st.builds(
         BatchRequest,
         tenant=_text,
         ops=_wire_ops,
         trace=_trace,
     ),
-    st.builds(
+    MergeRequest: st.builds(
         MergeRequest,
         tenant=_text,
         key=_key,
@@ -106,7 +108,7 @@ _requests = st.one_of(
         operator=_text,
         trace=_trace,
     ),
-    st.builds(
+    TxnCommitRequest: st.builds(
         TxnCommitRequest,
         tenant=_text,
         read_set=st.lists(
@@ -117,39 +119,43 @@ _requests = st.one_of(
         ops=_wire_ops,
         trace=_trace,
     ),
-    st.builds(
+    StatsHistoryRequest: st.builds(
         StatsHistoryRequest,
         tenant=_text,
         last_n=st.integers(min_value=0, max_value=2**20),
         trace=_trace,
     ),
-)
+}
 
-_responses = st.one_of(
-    st.builds(PongResponse, server_uptime_s=_floats, engine_uptime_s=_floats),
-    st.builds(StatsResponse, payload_json=_text),
-    st.builds(
+_RESPONSE_STRATEGIES = {
+    PongResponse: st.builds(
+        PongResponse, server_uptime_s=_floats, engine_uptime_s=_floats
+    ),
+    StatsResponse: st.builds(StatsResponse, payload_json=_text),
+    GetResponse: st.builds(
         GetResponse,
         found=st.booleans(),
         value=_value,
         seqno=st.integers(min_value=0, max_value=2**40),
     ),
-    st.builds(OkResponse, count=st.integers(min_value=0, max_value=2**40)),
-    st.builds(
+    OkResponse: st.builds(OkResponse, count=st.integers(min_value=0, max_value=2**40)),
+    MultiGetResponse: st.builds(
         MultiGetResponse,
         entries=st.lists(
             st.tuples(_key, st.booleans(), _value), max_size=6
         ).map(tuple),
     ),
-    st.builds(
+    ScanResponse: st.builds(
         ScanResponse,
         items=st.lists(st.tuples(_key, _value), max_size=6).map(tuple),
         truncated=st.booleans(),
     ),
-    st.builds(ErrorResponse, code=_text, message=_text),
-    st.builds(StatsHistoryResponse, payload_json=_text),
-)
+    ErrorResponse: st.builds(ErrorResponse, code=_text, message=_text),
+    StatsHistoryResponse: st.builds(StatsHistoryResponse, payload_json=_text),
+}
 
+_requests = st.one_of(*_REQUEST_STRATEGIES.values())
+_responses = st.one_of(*_RESPONSE_STRATEGIES.values())
 _messages = st.one_of(_requests, _responses)
 
 
@@ -188,11 +194,15 @@ class TestRoundTrip:
         assert drained == messages
 
     def test_all_registered_types_covered(self):
-        # The strategies above must exercise every type the protocol exports.
-        assert len(REQUEST_TYPES) == 11
-        assert len(RESPONSE_TYPES) == 8
-        types = {cls.TYPE for cls in REQUEST_TYPES + RESPONSE_TYPES}
-        assert len(types) == 19
+        # The strategies above and the golden frames must exercise every
+        # registered type, and the exported request/response lists must
+        # name exactly the registered types.
+        registered = set(_MESSAGE_TYPES.values())
+        assert set(REQUEST_TYPES) | set(RESPONSE_TYPES) == registered
+        assert set(_REQUEST_STRATEGIES) == set(REQUEST_TYPES)
+        assert set(_RESPONSE_STRATEGIES) == set(RESPONSE_TYPES)
+        golden = {case["type"] for case in load_golden() if case["encodes"]}
+        assert golden == {cls.__name__ for cls in registered}
 
 
 # -- truncation ----------------------------------------------------------------

@@ -3,11 +3,12 @@
 import time
 
 from repro.core.config import LSMConfig
+from repro.core.lsm_tree import LSMTree
 from repro.service import DBService
 
 
 def make_service():
-    return DBService(LSMConfig(buffer_bytes=4 << 10, block_size=512, seed=1))
+    return DBService(LSMTree(LSMConfig(buffer_bytes=4 << 10, block_size=512, seed=1)))
 
 
 class TestPing:

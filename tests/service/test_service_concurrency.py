@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro import DBService, LSMConfig, ServiceConfig, encode_uint_key
+from repro import DBService, LSMConfig, LSMTree, ServiceConfig, encode_uint_key
 from repro.errors import ClosedError
 
 KEYS_PER_WRITER = 16
@@ -26,7 +26,7 @@ def small_service(**service_overrides):
     service_config = ServiceConfig(
         max_batch=16, max_batch_wait_s=0.001, num_workers=2, **service_overrides
     )
-    return DBService(config, service_config)
+    return DBService(LSMTree(config), service_config)
 
 
 def writer_key(tid, slot):
