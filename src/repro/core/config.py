@@ -71,7 +71,11 @@ class LSMConfig:
         leaper_prefetch: re-warm the block cache after compactions.
         leaper_params: LeaperPrefetcher kwargs (hot_threshold, ...).
         shared_hashing: compute one filter digest per lookup, reused across
-            all runs' Bloom filters.
+            all runs' point filters. Every point filter is then built under
+            ``seed`` instead of a per-file seed: the lookup saves a hash per
+            run but gives up the decorrelation of false positives across
+            runs that per-file seeds buy (an absent key colliding with a
+            key stored in several runs passes each of their filters).
         elastic_budget_units: global ElasticBF unit budget (only with
             filter_kind='elastic'); None disables rebalancing.
         saturation_threshold: level-fullness fraction that triggers

@@ -3,7 +3,8 @@
 The SSTable builder takes plain callables (``filter_factory(keys)``,
 ``index_factory(keys, block_of_key)``); this module manufactures those
 callables from the configuration, including per-level Bloom budgets (Monkey)
-and per-file seeds (decorrelated false positives).
+and per-file seeds (decorrelated false positives; one shared seed under
+shared hashing).
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class AuxFactory:
         if bits == 0 and kind in {"bloom", "blocked_bloom", "partitioned", "elastic"}:
             return None  # Monkey may assign zero memory to deep levels
         params = dict(self._config.filter_params)
-        seed = next(self._seeds)
+        # Shared hashing probes every filter with one digest under
+        # config.seed, so every point filter must be built under it too.
+        seed = self._config.seed if self._config.shared_hashing else next(self._seeds)
 
         if kind == "bloom":
             return lambda keys: BloomFilter(keys, bits_per_key=bits, seed=seed, **params)

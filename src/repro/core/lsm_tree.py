@@ -48,7 +48,7 @@ from repro.core.manifest import (
     write_manifest,
 )
 from repro.core.stats import CompactionEvent, LSMStats
-from repro.core.version import Version
+from repro.core.version import Chain, ProbeScope, Version
 from repro.errors import (
     ClosedError,
     ConfigError,
@@ -57,7 +57,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.filters.elastic import ElasticBloomFilter, ElasticFilterManager
-from repro.filters.hashing import hash64
 from repro.memtable import make_memtable
 from repro.parallel.subcompaction import run_subcompactions, split_key_ranges
 from repro.storage.block_device import BlockDevice
@@ -196,6 +195,10 @@ class LSMTree:
         self._install_cv = threading.Condition(self._mutex)
         self._maintenance_cb: Optional[Callable[[], None]] = None
         self._levels: List[List[Run]] = []
+        # The pinned view of the runs that point lookups share until the run
+        # set changes (RocksDB's SuperVersion): a lookup takes a reference in
+        # O(1) instead of pinning every table. Guarded by the mutex.
+        self._read_view: Optional[Version] = None
         self._layout = config.layout_policy()
         triggers = [RunCountTrigger(), SaturationTrigger(config.saturation_threshold)]
         if config.staleness_flushes is not None:
@@ -203,6 +206,9 @@ class LSMTree:
         self._trigger = CompositeTrigger(*triggers)
         self._picker = make_picker(config.picker)
         self._factory = AuxFactory(config)
+        # Shared hashing: one digest under config.seed answers every filter.
+        share = config.shared_hashing and config.filter_kind != "none"
+        self._digest_seed = config.seed if share else None
         self._seqno = 0
         self._closed = False
         self._opened_monotonic = time.monotonic()
@@ -629,131 +635,84 @@ class LSMTree:
         histograms (wall + simulated) and per-level probe accounting; when
         the tracer samples this operation, a :class:`~repro.observe.Span`
         records the stage breakdown (memtable probe, each level's probe,
-        value fetch). Unobserved lookups pay two attribute checks.
+        value fetch). Unobserved lookups pay one check.
         """
-        self._check_open()
-        obs = self.observer
-        tracer = self.tracer
-        # maybe_start inherits the request's active trace context when one is
-        # installed (server/service path) and only rolls the sampling dice
-        # itself when this get *is* the outermost span — the decision is made
-        # once per request, never per engine call.
-        span = tracer.maybe_start("get") if tracer is not None else None
-        timed = obs is not None or span is not None
-        if timed:
-            wall0 = time.perf_counter()
-            sim0 = self.device.stats.simulated_time
-        result = GetResult()
-        probe = ProbeStats()
-        hash_evals = 0
+        return self._lookup(key, self.tracer, "get")
 
-        if span is not None:
-            stage0 = time.perf_counter()
-        entry, operands = self._probe_memory_chain(key)
-        if span is not None:
-            span.add_stage("memtable_probe", time.perf_counter() - stage0)
-        digest: Optional[int] = None
-        share = self.config.shared_hashing and self.config.filter_kind != "none"
-        if entry is None:
-            for level_no, runs in enumerate(self._levels, start=1):
-                if timed:
-                    before = (
-                        probe.filter_probes, probe.filter_negatives,
-                        probe.false_positives, probe.blocks_read,
-                        probe.cache_hits, probe.index_probes,
-                    )
-                    if span is not None:
-                        stage0 = time.perf_counter()
-                for run in runs:
-                    result.runs_probed += 1
-                    if share and digest is None and run.min_key <= key <= run.max_key:
-                        # Lazily compute the one digest this lookup shares
-                        # across every run's filter (tutorial §II-B.2).
-                        digest = hash64(key, self.config.seed)
-                        hash_evals += 1
-                    entry = run.get(key, stats=probe, cache=self.cache, digest=digest)
-                    if entry is not None and entry.is_merge:
-                        # An operand, not a value: collect it and keep
-                        # descending until a non-merge base terminates.
-                        operands.append(entry)
-                        entry = None
-                        continue
-                    if entry is not None:
-                        result.source_level = level_no
-                        break
-                if timed:
-                    served = entry is not None
-                    filter_probes = probe.filter_probes - before[0]
-                    negatives = probe.filter_negatives - before[1]
-                    false_pos = probe.false_positives - before[2]
-                    blocks = probe.blocks_read - before[3]
-                    cache_hits = probe.cache_hits - before[4]
-                    index_probes = probe.index_probes - before[5]
-                    if obs is not None:
-                        obs.record_level_probe(
-                            level_no, filter_probes, negatives, false_pos,
-                            blocks, cache_hits, index_probes, served,
-                        )
-                    if span is not None:
-                        span.add_stage(
-                            f"level_{level_no}", time.perf_counter() - stage0
-                        )
-                        span.event(
-                            "level_probe", level=level_no,
-                            filter_probes=filter_probes,
-                            filter_negatives=negatives,
-                            false_positives=false_pos,
-                            block_accesses=blocks,
-                            cache_hits=cache_hits,
-                            index_probes=index_probes,
-                            served=served,
-                        )
-                if entry is not None:
-                    break
+    def _lookup(self, key: bytes, tracer, span_name: str) -> GetResult:
+        """The point lookup of :meth:`get` and ``DBService.get``, sampled by
+        ``tracer`` as ``span_name``. Memory is probed and the read view
+        pinned under the mutex; the runs are walked outside it, so a
+        concurrent compaction can retire, but never delete, their files."""
+        self._check_open()
+        probe = ProbeStats()
+        scope = self._probe_scope(tracer, span_name, probe)
+        view = None
+        with self._mutex:
+            entry, operands = self._probe_memory_chain(key)
+            if entry is None:
+                view = self._read_view
+                if view is None:  # the run set changed: pin a fresh view
+                    view = self._read_view = self._pin_levels([])
+                    view.readers = 1  # the tree's own reference
+                view.readers += 1
+        if scope is not None:
+            scope.stage("memtable_probe")
+        chain = None
+        if view is not None:
+            try:
+                chain = view.get_chain(key, self.cache, probe, self._digest_seed, scope)
+            finally:
+                self._release_read_view(view)
+        return self._get_result(
+            entry, operands, chain, probe, scope, self.device.stats.simulated_time
+        )
+
+    def _probe_scope(self, tracer, span_name: str, probe: ProbeStats):
+        """Instrumentation for one lookup, or None when nothing observes it.
+        The span inherits the active trace context's sampling decision; only
+        an outermost lookup rolls the dice itself."""
+        span = tracer.maybe_start(span_name) if tracer is not None else None
+        if self.observer is None and span is None:
+            return None
+        return ProbeScope(self.observer, tracer, span, probe, self.device)
+
+    def _get_result(self, base: Optional[Entry], operands: List[Entry],
+                    chain: Optional[Chain], probe: ProbeStats,
+                    scope: Optional[ProbeScope], now: float) -> GetResult:
+        """Resolve a memory chain continued on storage by ``chain`` (None
+        when memory terminated it) at TTL clock ``now``; account the get."""
+        result = GetResult()
+        hash_evals = 0
+        if chain is not None:
+            # Memory operands are strictly newer than anything on storage,
+            # so extending keeps newest-first order.
+            base, stored, result.runs_probed, result.source_level, hashed = chain
+            operands.extend(stored)
+            hash_evals = int(hashed)
         if not self.config.shared_hashing:
             # Without sharing, every filter probe computes its own digest.
-            hash_evals += probe.filter_probes
-
+            hash_evals = probe.filter_probes
         result.blocks_read = probe.blocks_read
         result.filter_negatives = probe.filter_negatives
         result.false_positives = probe.false_positives
         if operands:
             result.seqno = operands[0].seqno  # operands are newest-first
-        elif entry is not None:
-            result.seqno = entry.seqno
+        elif base is not None:
+            result.seqno = base.seqno
         with self._stats_lock:
             self.stats.gets += 1
             self.stats.get_hash_evaluations += hash_evals
             self.stats.probe.merge(probe)
-
-        if entry is not None or operands:
-            if span is not None:
-                stage0 = time.perf_counter()
-            value = self._resolve_chain(
-                entry, operands, self.device.stats.simulated_time
-            )
+        if base is not None or operands:
+            value = self._resolve_chain(base, operands, now)
             if value is not None:
                 result.found = True
                 result.value = value
-            if span is not None:
-                span.add_stage("value_fetch", time.perf_counter() - stage0)
-        if obs is not None:
-            obs.record_get(
-                time.perf_counter() - wall0,
-                self.device.stats.simulated_time - sim0,
-                result.found,
-                probe.blocks_read,
-            )
-        if span is not None:
-            tracer.finish(
-                span,
-                op="get",
-                found=result.found,
-                source_level=result.source_level,
-                blocks_read=probe.blocks_read,
-                cache_hits=probe.cache_hits,
-                sim_time=self.device.stats.simulated_time - sim0,
-            )
+            if scope is not None:
+                scope.stage("value_fetch")
+        if scope is not None:
+            scope.finish(result)
         return result
 
     def scan(
@@ -859,22 +818,13 @@ class LSMTree:
         unique = sorted(set(keys))
         parallel = self.config.parallel
         if parallel is None or not parallel.coalesce_point_reads or not unique:
-            tracer = self.tracer
-            if tracer is None or tracer.active() is not None:
-                return {key: self.get(key) for key in unique}
-            # Outermost span: decide the batch's sampling fate once, so the
-            # per-key gets are all traced under one parent or none are.
-            span = tracer.maybe_start("multi_get")
-            from repro.observe.tracing import TraceContext
+            from repro.observe.tracing import trace_batch
 
-            ctx = span.context() if span is not None else TraceContext("", sampled=False)
-            token = tracer.activate(ctx)
-            try:
-                return {key: self.get(key) for key in unique}
-            finally:
-                tracer.deactivate(token)
-                if span is not None:
-                    tracer.finish(span, op="multi_get", keys=len(unique))
+            return trace_batch(
+                self.tracer, "multi_get",
+                lambda: {key: self.get(key) for key in unique},
+                op="multi_get", keys=len(unique),
+            )
 
         probe = ProbeStats()
         bases: Dict[bytes, Entry] = {}
@@ -1093,33 +1043,15 @@ class LSMTree:
                 )
             else:
                 buffered = list(self._memtable.scan())
-            runs = [run for level_runs in self._levels for run in level_runs]
-            for run in runs:
-                self._pin(run)
-        return Version(buffered, runs, release=self._unpin)
-
-    def probe_memory(self, key: bytes) -> Optional[Entry]:
-        """In-memory lookup only: active memtable, then sealed memtables
-        newest-first. No device I/O; returns raw entries (maybe tombstones).
-        """
-        with self._mutex:
-            entry = self._memtable.get(key)
-            if entry is not None:
-                return entry
-            for imm in reversed(self._immutables):
-                entry = imm.get(key)
-                if entry is not None:
-                    return entry
-            return None
+            return self._pin_levels(buffered)
 
     def _probe_memory_chain(
         self, key: bytes
     ) -> "Tuple[Optional[Entry], List[Entry]]":
-        """In-memory chain probe: ``(base, merge operands newest-first)``.
-
-        Like :meth:`probe_memory` but does not stop on MERGE entries —
-        operands are collected so the caller can continue the search on
-        storage when memory alone does not terminate the chain.
+        """In-memory chain probe: ``(base, merge operands newest-first)``,
+        active memtable first, then sealed memtables newest-first. No device
+        I/O; the caller continues on storage when memory alone does not
+        terminate the chain.
         """
         operands: List[Entry] = []
         with self._mutex:
@@ -1137,19 +1069,36 @@ class LSMTree:
                 operands.append(entry)
             return None, operands
 
-    def pin_runs(self) -> Version:
-        """Pin just the on-storage runs, newest level first.
-
-        The service read path probes memory under the mutex via
-        :meth:`probe_memory`, then walks this pinned version's runs outside
-        it — background installs can't delete a pinned run's files.
-        """
-        self._check_open()
-        with self._mutex:
-            runs = [run for level_runs in self._levels for run in level_runs]
+    def _pin_levels(self, buffered: List[Entry]) -> Version:
+        """A :class:`Version` of ``buffered`` and the current runs, each run
+        pinned (the caller holds the mutex)."""
+        version = Version(buffered, self._levels, release=self._unpin_levels)
+        for runs in version.levels:
             for run in runs:
-                self._pin(run)
-        return Version([], runs, release=self._unpin)
+                for table in run.tables:
+                    table.refs += 1
+        return version
+
+    def _unpin_levels(self, levels: List[List[Run]]) -> None:
+        # Versions close outside the mutex; pin counts are read-modify-write.
+        with self._mutex:
+            for runs in levels:
+                for run in runs:
+                    for table in run.tables:
+                        self._drop_pin(table)
+
+    def _release_read_view(self, view: Version) -> None:
+        """Drop one reference to a read view; the last one unpins its runs."""
+        with self._mutex:
+            view.readers -= 1
+            if not view.readers:
+                view.close()
+
+    def _retire_read_view(self) -> None:
+        """The run set is changing: lookups from now on pin a fresh view."""
+        view, self._read_view = self._read_view, None
+        if view is not None:
+            self._release_read_view(view)
 
     # -------------------------------------------------------------- maintenance
 
@@ -1744,10 +1693,10 @@ class LSMTree:
         raise ValueError(f"corrupt value tag {tag!r}")
 
     def _find_entry(self, key: bytes) -> Optional[Entry]:
-        """Raw entry lookup (no value resolution, no stats)."""
-        entry = self.probe_memory(key)
-        if entry is not None:
-            return entry
+        """Raw entry lookup: the newest version (no value resolution, no stats)."""
+        base, operands = self._probe_memory_chain(key)
+        if operands or base is not None:
+            return operands[0] if operands else base
         for runs in self._levels:
             for run in runs:
                 entry = run.get(key, cache=self.cache)
@@ -1821,11 +1770,16 @@ class LSMTree:
 
     # -- pinning / retirement --
 
+    # The live tree's and compaction plans' pins change the run set, so they
+    # retire the read view; versions pin through _pin_levels instead.
+
     def _pin(self, run: Run) -> None:
+        self._retire_read_view()
         for table in run.tables:
             table.refs += 1
 
     def _unpin(self, run: Run) -> None:
+        self._retire_read_view()
         for table in run.tables:
             self._drop_pin(table)
 
@@ -2475,6 +2429,7 @@ class LSMTree:
 
     def _trim_empty_tail(self) -> None:
         while self._levels and not self._levels[-1]:
+            self._retire_read_view()
             self._levels.pop()
 
 
@@ -2501,18 +2456,11 @@ class Snapshot:
 
     def get(self, key: bytes) -> GetResult:
         """Point lookup as of the snapshot; returns a :class:`GetResult`."""
-        base, operands = self._version.get_chain(key, cache=self._tree.cache)
-        result = GetResult()
-        if operands:
-            result.seqno = operands[0].seqno
-        elif base is not None:
-            result.seqno = base.seqno
-        if base is not None or operands:
-            value = self._tree._resolve_chain(base, operands, self.created_at)
-            if value is not None:
-                result.found = True
-                result.value = value
-        return result
+        tree = self._tree
+        probe = ProbeStats()
+        scope = tree._probe_scope(tree.tracer, "get", probe)
+        chain = self._version.get_chain(key, tree.cache, probe, tree._digest_seed, scope)
+        return tree._get_result(None, [], chain, probe, scope, self.created_at)
 
     def multi_get(self, keys) -> "dict[bytes, GetResult]":
         """Batched point lookups as of the snapshot (sorted, deduplicated)."""

@@ -16,6 +16,7 @@ Latency is recorded on two clocks:
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional
 
 from repro.observe.journal import EventJournal
@@ -159,6 +160,8 @@ class EngineObserver:
             "recoveries_total", "crash recoveries completed", self.labels
         )
         self.levels: Dict[int, LevelIOStats] = {}
+        # Served point lookups record level probes from many threads at once.
+        self._probe_lock = threading.Lock()
 
     # -- hooks called from the engine hot paths ------------------------------
 
@@ -196,31 +199,22 @@ class EngineObserver:
     def level(self, level_no: int) -> LevelIOStats:
         stats = self.levels.get(level_no)
         if stats is None:
-            stats = self.levels[level_no] = LevelIOStats()
+            stats = self.levels.setdefault(level_no, LevelIOStats())
         return stats
 
-    def record_level_probe(
-        self,
-        level_no: int,
-        probes: int,
-        negatives: int,
-        false_positives: int,
-        block_accesses: int,
-        cache_hits: int,
-        index_probes: int,
-        served: bool,
-    ) -> None:
-        """One point lookup's footprint at one level (called per level probed)."""
+    def record_level_probe(self, level_no: int, probe, served: bool) -> None:
+        """One point lookup's ``ProbeStats`` at one level (called per level probed)."""
         stats = self.level(level_no)
-        stats.gets_probed += 1
-        stats.filter_probes += probes
-        stats.filter_negatives += negatives
-        stats.false_positives += false_positives
-        stats.block_accesses += block_accesses
-        stats.cache_hits += cache_hits
-        stats.index_probes += index_probes
-        if served:
-            stats.gets_served += 1
+        with self._probe_lock:
+            stats.gets_probed += 1
+            stats.filter_probes += probe.filter_probes
+            stats.filter_negatives += probe.filter_negatives
+            stats.false_positives += probe.false_positives
+            stats.block_accesses += probe.blocks_read
+            stats.cache_hits += probe.cache_hits
+            stats.index_probes += probe.index_probes
+            if served:
+                stats.gets_served += 1
 
     def record_fault(self, kind: str) -> None:
         """One fault-handling event from the read guard.

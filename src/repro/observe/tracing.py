@@ -31,7 +31,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 
 def new_trace_id() -> str:
@@ -252,6 +252,24 @@ class TraceRecorder:
             "dropped": self.dropped,
             "spans": spans,
         }
+
+
+def trace_batch(tracer: Optional[TraceRecorder], name: str,
+                run: Callable[[], dict], **attrs) -> dict:
+    """Run a batch under one sampling decision: when it is the outermost
+    span, every operation ``run`` performs is traced under one ``name``
+    parent (tagged ``attrs``) or none is — never half-traced."""
+    if tracer is None or tracer.active() is not None:
+        return run()
+    span = tracer.maybe_start(name)
+    ctx = span.context() if span is not None else TraceContext("", sampled=False)
+    token = tracer.activate(ctx)
+    try:
+        return run()
+    finally:
+        tracer.deactivate(token)
+        if span is not None:
+            tracer.finish(span, **attrs)
 
 
 class SlowOpLog:

@@ -22,12 +22,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.common.entry import GetResult
 from repro.core.lsm_tree import LSMTree, Snapshot
 from repro.errors import ClosedError, ConflictError
-from repro.observe.tracing import TraceContext
+from repro.observe.tracing import trace_batch
 from repro.service.backpressure import BackpressureController
 from repro.service.batcher import WriteBatcher, WriteOp
 from repro.service.config import ServiceConfig
 from repro.service.scheduler import CompactionScheduler, RateLimiter
-from repro.storage.sstable import ProbeStats
 
 
 class DBService:
@@ -290,57 +289,17 @@ class DBService:
     def get(self, key: bytes) -> GetResult:
         """Point lookup against a pinned snapshot of the tree.
 
-        Memory (active + sealed memtables) is probed under the tree mutex;
-        on a miss the storage runs are pinned and probed outside it, so a
-        concurrent compaction can retire — but never delete — the files
-        this lookup is reading.
+        The tree's one lookup path (see :meth:`LSMTree.get`), traced as
+        ``service:get``: runs are pinned under the tree mutex and walked
+        outside it, so a concurrent compaction never deletes their files.
         """
         self._check_open()
         histogram = self._get_wall
-        recorder = self.recorder
-        span = recorder.maybe_start("service:get") if recorder is not None else None
-        if histogram is not None or span is not None:
-            wall0 = time.perf_counter()
-        tree = self.tree
-        with tree.mutex:
-            tree.stats.gets += 1
-            entry, operands = tree._probe_memory_chain(key)
-            version = tree.pin_runs() if entry is None else None
-        if span is not None:
-            probed = time.perf_counter()
-            span.add_stage("memtable_probe", probed - wall0)
-        if version is not None:
-            # Memory did not terminate the chain: continue on the pinned
-            # runs. Memory operands are strictly newer than anything on
-            # storage, so extending keeps newest-first order.
-            probe = ProbeStats()
-            try:
-                entry, run_operands = version.get_chain(key, cache=tree.cache, stats=probe)
-                operands.extend(run_operands)
-            finally:
-                version.close()
-            with tree._stats_lock:
-                tree.stats.probe.merge(probe)
-            if span is not None:
-                walked = time.perf_counter()
-                span.add_stage("storage_probe", walked - probed)
-        result = GetResult()
-        if operands:
-            result.seqno = operands[0].seqno
-        elif entry is not None:
-            result.seqno = entry.seqno
-        if entry is not None or operands:
-            value = tree._resolve_chain(
-                entry, operands, tree.device.stats.simulated_time
-            )
-            if value is not None:
-                result.found = True
-                result.value = value
-        if span is not None:
-            recorder.finish(span, op="get", found=result.found,
-                            from_memtable=version is None)
-        if histogram is not None:
-            histogram.record(time.perf_counter() - wall0)
+        if histogram is None:
+            return self.tree._lookup(key, self.recorder, "service:get")
+        wall0 = time.perf_counter()
+        result = self.tree._lookup(key, self.recorder, "service:get")
+        histogram.record(time.perf_counter() - wall0)
         return result
 
     def scan(
@@ -358,18 +317,12 @@ class DBService:
         lookup — a batch is fully traced under one ``service:multi_get``
         parent or not traced at all, never half-traced.
         """
-        recorder = self.recorder
-        if recorder is None or recorder.active() is not None:
-            return {key: self.get(key) for key in sorted(set(keys))}
-        span = recorder.maybe_start("service:multi_get")
-        ctx = span.context() if span is not None else TraceContext("", sampled=False)
-        token = recorder.activate(ctx)
-        try:
-            return {key: self.get(key) for key in sorted(set(keys))}
-        finally:
-            recorder.deactivate(token)
-            if span is not None:
-                recorder.finish(span, op="multi_get", keys=len(set(keys)))
+        unique = sorted(set(keys))
+        return trace_batch(
+            self.recorder, "service:multi_get",
+            lambda: {key: self.get(key) for key in unique},
+            op="multi_get", keys=len(unique),
+        )
 
     def snapshot(self) -> Snapshot:
         """A consistent read view of the tree (see :meth:`LSMTree.snapshot`).

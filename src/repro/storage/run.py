@@ -36,6 +36,7 @@ class Run:
             if prev.max_key >= curr.min_key:
                 raise ValueError("run tables must be sorted and non-overlapping")
         self.tables: List[SSTable] = list(tables)
+        self._max_keys = [table.max_key for table in self.tables]
         self.run_id = next(_run_ids)
 
     # -- metadata ------------------------------------------------------------
@@ -166,8 +167,7 @@ class Run:
     # -- internals -----------------------------------------------------------
 
     def _table_for(self, key: bytes) -> Optional[SSTable]:
-        max_keys = [table.max_key for table in self.tables]
-        idx = bisect.bisect_left(max_keys, key)
+        idx = bisect.bisect_left(self._max_keys, key)
         if idx == len(self.tables):
             return None
         table = self.tables[idx]

@@ -143,3 +143,34 @@ def test_snapshot_or_explicit_refusal(store, request):
         assert store.get(b"snap").value == b"v2"
     finally:
         snap.close()
+
+
+def test_get_provenance_agrees_between_tree_and_service():
+    """The tree and service handles share one lookup path, so a get reports
+    the same provenance through either for the same state."""
+    tree = LSMTree(make_config(layout="tiering"))
+    for i in range(600):  # even keys over several runs, odd keys absent
+        tree.put(b"k%05d" % ((i * 37 % 600) * 2), b"v" * 24)
+    tree.delete(b"k00010")
+    tree.merge(b"k00025", b"1")
+    tree.flush()
+    tree.put(b"k00030", b"buffered")
+    keys = [b"k%05d" % i for i in range(0, 1200, 5)]
+    fields = ("found", "value", "seqno", "runs_probed", "source_level",
+              "blocks_read", "filter_negatives", "false_positives")
+
+    def provenance(handle):
+        return {
+            key: tuple(getattr(handle.get(key), name) for name in fields)
+            for key in keys
+        }
+
+    from_tree = provenance(tree)
+    service = DBService(tree, close_tree=True)
+    try:
+        assert provenance(service) == from_tree
+    finally:
+        service.close()
+    assert tree.total_runs > 1
+    assert any(p[3] > 1 and p[4] is not None for p in from_tree.values())
+    assert sum(p[6] for p in from_tree.values()) > 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import LSMTree, encode_uint_key
+from repro import DBService, LSMTree, encode_uint_key
 from repro.errors import ClosedError
 from tests.conftest import make_config, make_tree
 
@@ -232,6 +232,26 @@ class TestReadPath:
         assert shared.total_runs > 1  # the saving needs multiple runs
         assert shared.stats.get_hash_evaluations == 200  # one digest per get
         assert plain.stats.get_hash_evaluations > 200  # one per (get, run)
+
+        # One digest answers every run's filter: no false negatives on any
+        # handle (each file's filter is built under the shared seed).
+        keys = [encode_uint_key(i) for i in range(2000)]
+        for layout in ("leveling", "tiering"):
+            tree = make_tree(layout=layout, shared_hashing=True)
+            for key in keys:
+                tree.put(key, b"x" * 30)
+            tree.flush()
+            assert tree.total_runs > 1, layout
+            evals = tree.stats.get_hash_evaluations
+            assert all(tree.get(key).found for key in keys), layout
+            assert tree.stats.get_hash_evaluations == evals + len(keys)
+            with tree.snapshot() as snapshot:
+                assert all(snapshot.get(key).found for key in keys), layout
+            service = DBService(tree)
+            try:
+                assert all(service.get(key).found for key in keys), layout
+            finally:
+                service.close()
 
     def test_scan_merges_across_levels(self):
         tree = make_tree(buffer_bytes=1 << 10)

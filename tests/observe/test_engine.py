@@ -1,6 +1,8 @@
 """Engine/service/shard integration: observers fed from the real hot paths."""
 
 import math
+import sys
+import threading
 
 from repro import DBService, LSMTree, MetricsRegistry, ServiceConfig, encode_uint_key
 from repro.bench.harness import preload_tree, run_operations, run_concurrent_workload
@@ -115,15 +117,52 @@ class TestServiceObservability:
             service.attach_observability(registry, sampling=0.0)
             for i in range(50):
                 service.put(encode_uint_key(i), b"v" * 24)
+            service.flush()  # the gets below must reach storage levels
             for i in range(50):
                 service.get(encode_uint_key(i))
             snap = registry.snapshot()
             assert snap["histograms"]["service_write_wall_seconds"]["count"] == 50
             assert snap["histograms"]["service_get_wall_seconds"]["count"] == 50
+            # Served gets feed the engine observer like embedded ones.
+            assert snap["counters"]["gets_total"] == 50
+            assert snap["histograms"]["get_latency_wall_seconds"]["count"] == 50
+            assert sum(io.gets_probed for io in service.observer.levels.values()) > 0
             assert snap["histograms"]["service_batch_records"]["count"] >= 1
             assert "service_write_queue_depth" in snap["gauges"]
             assert "service_flush_backlog" in snap["gauges"]
         finally:
+            service.close()
+
+    def test_concurrent_served_gets_lose_no_level_probes(self):
+        service = DBService(LSMTree(make_config()), ServiceConfig(num_workers=1))
+        interval = sys.getswitchinterval()
+        try:
+            observer = service.attach_observability(MetricsRegistry())
+            keys = [encode_uint_key(i) for i in range(300)]
+            for key in keys:
+                service.put(key, b"v" * 24)
+            service.flush()  # every get below walks storage from level 1
+            n_threads, per_thread = 8, 150  # more threads than cores
+
+            def reader(offset):
+                for i in range(per_thread):
+                    assert service.get(keys[(offset + i * 7) % len(keys)]).found
+
+            sys.setswitchinterval(1e-6)
+            threads = [
+                threading.Thread(target=reader, args=(n,)) for n in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            total = n_threads * per_thread
+            assert observer.gets_total.value == total
+            assert observer.levels[1].gets_probed == total
+            assert sum(io.gets_served for io in observer.levels.values()) == total
+        finally:
+            sys.setswitchinterval(interval)
             service.close()
 
     def test_concurrent_harness_attaches_registry(self):

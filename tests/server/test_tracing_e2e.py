@@ -81,6 +81,26 @@ class TestClientRootedTraces:
         assert server_get.total <= client_get.total + 1e-6
         assert service_get.total <= server_get.total + 1e-6
 
+    def test_served_get_reaching_storage_traces_each_level(self, server):
+        host, port = server.address
+        with LSMClient(host, port, tenant="t", trace_sampling=1.0) as db:
+            db.put(b"stored", b"v")
+            server.service.flush()  # the get below must walk storage
+            assert db.get(b"stored").value == b"v"
+        client_get = db.recorder.spans()[-1]
+        service_get = next(
+            s for s in spans_of_trace(server.recorder, client_get.trace_id)
+            if s.name == "service:get"
+        )
+        # The served span carries the same schema as an embedded get.
+        stages = service_get.stage_dict()
+        assert {"memtable_probe", "level_1", "value_fetch"} <= set(stages)
+        probes = [e for e in service_get.events if e["kind"] == "level_probe"]
+        assert probes and probes[-1]["served"] is True
+        assert {f"level_{e['level']}" for e in probes} <= set(stages)
+        assert service_get.attrs["source_level"] == probes[-1]["level"]
+        assert service_get.total == sum(d for _, d in service_get.stages)
+
     def test_unsampled_client_adds_no_spans_anywhere(self, server):
         before = len(server.recorder.spans())
         host, port = server.address

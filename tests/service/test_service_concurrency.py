@@ -7,6 +7,7 @@ final state equals a sequential oracle. Writers own disjoint key ranges, so
 the oracle is just each writer's last operation per key.
 """
 
+import sys
 import threading
 
 import hypothesis.strategies as st
@@ -92,6 +93,61 @@ def test_acknowledged_writes_are_visible_and_monotone():
     service.tree.verify_integrity()
     # The tree remains correct for direct (post-service) access too.
     assert int(service.tree.get(writer_key(0, 0)).value) == rounds
+
+
+def test_shared_read_view_pins_balance_under_compaction():
+    """Readers walk the shared read view while flushes and compactions
+    replace it: every get stays correct, and once quiet every retired file
+    is gone and each live file holds exactly the pins the tree accounts."""
+    n_readers, rounds = 6, 40  # more reader threads than cores
+    service = small_service()
+    keys = [encode_uint_key(i) for i in range(64)]
+    for key in keys:
+        service.put(key, b"v" * 40)
+    failures = []
+    done = threading.Event()
+
+    def churn():
+        for _ in range(rounds):  # rewrite the same values: flush + compact
+            for key in keys:
+                service.put(key, b"v" * 40)
+        done.set()
+
+    def reader():
+        try:
+            while not done.is_set():
+                for key in keys[::5]:
+                    result = service.get(key)
+                    if result.value != b"v" * 40:
+                        failures.append(f"{key!r} read {result.value!r}")
+                        return
+        except Exception as exc:  # noqa: BLE001
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn)]
+        threads += [threading.Thread(target=reader) for _ in range(n_readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    service.close()
+    assert not failures, failures
+    tree = service.tree
+    assert tree.stats.compactions + tree.stats.trivial_moves > 0
+    live = [table for runs in tree._levels for run in runs for table in run.tables]
+    viewed = set()
+    if tree._read_view is not None:
+        assert tree._read_view.readers == 1  # only the tree's own reference
+        viewed = {id(t) for run in tree._read_view.runs for t in run.tables}
+    for table in live:
+        assert table.refs == 1 + (id(table) in viewed), table.file_id
+    assert set(tree.device.live_files) == {table.file_id for table in live}
 
 
 def test_scan_sees_a_consistent_snapshot():
